@@ -1,6 +1,6 @@
 package repro.eval
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.geo.{RoadNetwork, ShortestPath}
 import repro.traj.{MatchedPoint, Traj}
@@ -85,15 +85,5 @@ object Metrics {
     val cols = df.columns.filterNot(_ == "id")
     val row = df.select(cols.map(c => avg(col(c)).as(c)).toIndexedSeq: _*).head()
     cols.zipWithIndex.map { case (c, i) => c -> row.getDouble(i) }.toMap
-  }
-
-  def toDf(spark: SparkSession, rows: Seq[RecoveryRow]): DataFrame = {
-    import spark.implicits._
-    rows.toDF()
-  }
-
-  def toMatchDf(spark: SparkSession, rows: Seq[MatchRow]): DataFrame = {
-    import spark.implicits._
-    rows.toDF()
   }
 }

@@ -45,13 +45,6 @@ final class RoadNetwork(
     buf.map(_.toArray)
   }
 
-  /** Segment ids entering each node. */
-  val inSegments: Array[Array[Int]] = {
-    val buf = Array.fill(numNodes)(mutable.ArrayBuffer.empty[Int])
-    segments.foreach(s => buf(s.to) += s.id)
-    buf.map(_.toArray)
-  }
-
   /** Successor segments of `segId` in the segment graph (those leaving its
     * exit node). The exact reverse segment is excluded — U-turns are not
     * normal route continuations — unless it is the ONLY way out (dead-end
@@ -67,16 +60,6 @@ final class RoadNetwork(
     if (noUturn.nonEmpty) noUturn else all
   }
 
-  /** The exact reverse of `segId` (two-way roads), if present. */
-  def reverseOf(segId: Int): Option[Int] = {
-    val s = segments(segId)
-    outSegments(s.to).find(n => segments(n).to == s.from && segments(n).from == s.to)
-  }
-
-  /** Maximum out-degree in the segment graph. */
-  lazy val maxDegree: Int =
-    if (numSegments == 0) 0 else (0 until numSegments).map(nextSegments(_).length).max
-
   /** Planar point at position ratio `r` on segment `segId`. */
   def pointAt(segId: Int, r: Double): XY = {
     val s = segments(segId)
@@ -88,9 +71,6 @@ final class RoadNetwork(
 
   /** Top-`k` nearest segments to planar point `p` by perpendicular distance. */
   def nearestSegments(p: XY, k: Int): Array[Int] = rtree.nearest(p, k)
-
-  /** Total length of all segments, metres. */
-  lazy val totalLengthM: Double = segments.map(_.lengthM).sum
 }
 
 object RoadNetwork {

@@ -14,7 +14,6 @@ import scala.collection.mutable
   * where P is the add-one-smoothed empirical transition probability. The
   * length term keeps routes geometrically sane on transitions never seen in
   * training; `beta` (metres per nat) trades statistics against geometry.
-  * Falls back to the pure shortest path when the statistical search fails.
   *
   * Both our methods (MMA / TRMMA) and every baseline that needs a route-
   * planning subroutine use this same planner, mirroring the paper's
@@ -38,16 +37,15 @@ final class RoutePlanner(
   }
 
   /** Segments connecting `from` to `to`, excluding `from`, including `to`;
-    * Nil when `from == to`. Never fails on a strongly connected network.
+    * Nil when `from == to`. When `to` is unreachable from `from` the route
+    * jumps straight to `to`, which cannot happen on a strongly connected
+    * network.
     */
-  def plan(from: Int, to: Int): List[Int] = {
-    if (from == to) return Nil
+  def plan(from: Int, to: Int): List[Int] =
     ShortestPath
       .segmentSearch(net, from, to,
         (cur, next) => net.segments(next).lengthM + beta * negLogProb(cur, next))
-      .orElse(ShortestPath.segmentRoute(net, from, to))
-      .getOrElse(List(to)) // disconnected fallback: jump straight to `to`
-  }
+      .getOrElse(List(to))
 
   /** Stitch per-point matched segments into a route: consecutive duplicate
     * segments collapse; gaps are filled by `plan`. (Algorithm 1, lines 10-13.)

@@ -3,108 +3,120 @@ package repro.geo
 import java.util.PriorityQueue
 import scala.collection.mutable
 
-/** Shortest-path primitives over a [[RoadNetwork]]: node-level Dijkstra,
-  * point-to-point A* with early exit, and the road-network distance between
-  * two map-matched points used by the MAE/RMSE recovery metrics.
+/** Shortest-path queries over a [[RoadNetwork]]: node-level Dijkstra,
+  * point-to-point A*, segment-graph routes for the planner, and the
+  * road-network distance between two map-matched points used by the HMM
+  * transitions and the MAE/RMSE recovery metrics. All of them run the one
+  * best-first search `search`, on the node graph (arcs are segments) or on
+  * the segment graph (arcs are successor segments).
   */
 object ShortestPath {
 
   private final val Inf = Double.PositiveInfinity
 
-  /** Node-level Dijkstra from `src`; distances capped at `maxDist` (nodes
-    * farther than that keep +inf). O((m + n) log n).
-    */
-  def dijkstra(net: RoadNetwork, src: Int, maxDist: Double = Inf): Array[Double] = {
-    val dist = Array.fill(net.numNodes)(Inf)
-    dist(src) = 0.0
-    val pq = new PriorityQueue[(Double, Int)](11,
-      (a: (Double, Int), b: (Double, Int)) => java.lang.Double.compare(a._1, b._1))
-    pq.add((0.0, src))
-    while (!pq.isEmpty) {
-      val (d, u) = pq.poll()
-      if (d <= dist(u) && d <= maxDist) {
-        net.outSegments(u).foreach { sid =>
-          val s = net.segments(sid)
-          val nd = d + s.lengthM
-          if (nd < dist(s.to)) { dist(s.to) = nd; pq.add((nd, s.to)) }
-        }
-      }
+  /** Per-vertex state of one search. */
+  private final class Search(n: Int) {
+    val dist: Array[Double] = Array.fill(n)(Inf)
+    val predVertex = new Array[Int](n)
+    val predArc = new Array[Int](n)
+    val closed = new Array[Boolean](n)
+
+    /** Arcs of the found path from `src` to `v`, in travel order. */
+    def arcsTo(src: Int, v: Int): List[Int] = {
+      var path = List.empty[Int]
+      var cur = v
+      while (cur != src) { path = predArc(cur) :: path; cur = predVertex(cur) }
+      path
     }
-    dist
   }
 
-  /** A* shortest path length from node `src` to node `dst` with the planar
-    * straight-line heuristic (admissible: every segment's length is its
-    * chord). Returns +inf if unreachable.
+  /** Best-first search from `src` over `n` vertices. Arc `a` in `arcs(u)`
+    * leads to `head(a)` at `cost(u, a)`; the queue key is distance plus
+    * `h` (Dijkstra when `h` is 0, A* when it is a lower bound). Stops when
+    * `target` is popped. A vertex farther than `bound` is settled but not
+    * expanded, so a vertex one arc past the bound keeps its tentative
+    * distance and everything farther stays +inf.
     */
-  def aStar(net: RoadNetwork, src: Int, dst: Int): Double = {
-    if (src == dst) return 0.0
-    val goal = net.nodes(dst)
-    val g = mutable.HashMap.empty[Int, Double]
-    g(src) = 0.0
+  private def search(
+      n: Int,
+      src: Int,
+      arcs: Int => Array[Int],
+      head: Int => Int,
+      cost: (Int, Int) => Double,
+      h: Int => Double = _ => 0.0,
+      target: Int = -1,
+      bound: Double = Inf,
+  ): Search = {
+    val s = new Search(n)
+    s.dist(src) = 0.0
     val pq = new PriorityQueue[(Double, Int)](11,
       (a: (Double, Int), b: (Double, Int)) => java.lang.Double.compare(a._1, b._1))
-    pq.add((net.nodes(src).dist(goal), src))
-    val done = mutable.HashSet.empty[Int]
-    while (!pq.isEmpty) {
-      val (_, u) = pq.poll()
-      if (u == dst) return g(u)
-      if (!done.contains(u)) {
-        done += u
-        val gu = g(u)
-        net.outSegments(u).foreach { sid =>
-          val s = net.segments(sid)
-          val ng = gu + s.lengthM
-          if (ng < g.getOrElse(s.to, Inf)) {
-            g(s.to) = ng
-            pq.add((ng + net.nodes(s.to).dist(goal), s.to))
+    pq.add((h(src), src))
+    var reached = false
+    while (!reached && !pq.isEmpty) {
+      val u = pq.poll()._2
+      if (u == target) reached = true
+      else if (!s.closed(u)) {
+        s.closed(u) = true
+        val du = s.dist(u)
+        if (du <= bound) {
+          val out = arcs(u)
+          var i = 0
+          while (i < out.length) {
+            val a = out(i)
+            val v = head(a)
+            val nd = du + cost(u, a)
+            if (nd < s.dist(v)) {
+              s.dist(v) = nd; s.predVertex(v) = u; s.predArc(v) = a
+              pq.add((nd + h(v), v))
+            }
+            i += 1
           }
         }
       }
     }
-    Inf
+    s
   }
+
+  /** `search` on the node graph with segment lengths as costs. */
+  private def nodeSearch(net: RoadNetwork, src: Int, target: Int = -1, bound: Double = Inf): Search = {
+    // A* towards `target` with the planar straight-line heuristic
+    // (admissible: every segment's length is its chord).
+    val h: Int => Double =
+      if (target < 0) _ => 0.0 else { val goal = net.nodes(target); v => net.nodes(v).dist(goal) }
+    search(net.numNodes, src, net.outSegments(_), a => net.segments(a).to,
+      (_, a) => net.segments(a).lengthM, h, target, bound)
+  }
+
+  /** Node-level Dijkstra from `src`; nodes farther than `maxDist` are not
+    * expanded, so their successors keep a tentative distance and nodes
+    * beyond those keep +inf. O((m + n) log n).
+    */
+  def dijkstra(net: RoadNetwork, src: Int, maxDist: Double = Inf): Array[Double] =
+    nodeSearch(net, src, bound = maxDist).dist
+
+  /** A* shortest path length from node `src` to node `dst`; +inf if
+    * unreachable.
+    */
+  def aStar(net: RoadNetwork, src: Int, dst: Int): Double = nodeSearch(net, src, dst).dist(dst)
 
   /** Shortest node path from `src` to `dst` as the list of traversed
-    * segment ids (A* with parent pointers). None when unreachable.
+    * segment ids. None when unreachable.
     */
   def nodePathSegments(net: RoadNetwork, src: Int, dst: Int): Option[List[Int]] = {
-    if (src == dst) return Some(Nil)
-    val goal = net.nodes(dst)
-    val g = mutable.HashMap.empty[Int, Double]
-    val prevSeg = mutable.HashMap.empty[Int, Int] // node -> incoming segment
-    g(src) = 0.0
-    val pq = new PriorityQueue[(Double, Int)](11,
-      (a: (Double, Int), b: (Double, Int)) => java.lang.Double.compare(a._1, b._1))
-    pq.add((net.nodes(src).dist(goal), src))
-    val done = mutable.HashSet.empty[Int]
-    while (!pq.isEmpty) {
-      val (_, u) = pq.poll()
-      if (u == dst) {
-        var path = List.empty[Int]
-        var cur = dst
-        while (cur != src) {
-          val sid = prevSeg(cur)
-          path = sid :: path
-          cur = net.segments(sid).from
-        }
-        return Some(path)
-      }
-      if (!done.contains(u)) {
-        done += u
-        val gu = g(u)
-        net.outSegments(u).foreach { sid =>
-          val s = net.segments(sid)
-          val ng = gu + s.lengthM
-          if (ng < g.getOrElse(s.to, Inf)) {
-            g(s.to) = ng
-            prevSeg(s.to) = sid
-            pq.add((ng + net.nodes(s.to).dist(goal), s.to))
-          }
-        }
-      }
-    }
-    None
+    val s = nodeSearch(net, src, dst)
+    if (s.dist(dst) < Inf) Some(s.arcsTo(src, dst)) else None
+  }
+
+  /** Least-cost route in the segment graph from segment `from` to segment
+    * `to` with per-transition cost `cost(curSeg, nextSeg)` (floored at
+    * 1e-9): the segments AFTER `from` up to and including `to`, empty if
+    * `from == to`. None when `to` is unreachable.
+    */
+  def segmentSearch(net: RoadNetwork, from: Int, to: Int, cost: (Int, Int) => Double): Option[List[Int]] = {
+    val s = search(net.numSegments, from, net.nextSegments, a => a,
+      (u, a) => math.max(1e-9, cost(u, a)), target = to)
+    if (s.dist(to) < Inf) Some(s.arcsTo(from, to)) else None
   }
 
   /** Memoising node-to-node distance helper for metric computation. One
@@ -122,11 +134,8 @@ object ShortestPath {
       */
     def directedDist(segA: Int, rA: Double, segB: Int, rB: Double): Double = {
       val sa = net.segments(segA); val sb = net.segments(segB)
-      if (segA == segB) {
-        if (rB >= rA) return (rB - rA) * sa.lengthM
-        return (1 - rA) * sa.lengthM + nodeDist(sa.to, sb.from) + rB * sb.lengthM
-      }
-      (1 - rA) * sa.lengthM + nodeDist(sa.to, sb.from) + rB * sb.lengthM
+      if (segA == segB && rB >= rA) (rB - rA) * sa.lengthM
+      else (1 - rA) * sa.lengthM + nodeDist(sa.to, sb.from) + rB * sb.lengthM
     }
 
     /** Road-network distance between map-matched points (segA, rA) and
@@ -136,63 +145,9 @@ object ShortestPath {
       * but defensive anyway).
       */
     def matchedDist(segA: Int, rA: Double, segB: Int, rB: Double): Double = {
-      if (segA == segB) {
-        return math.abs(rA - rB) * net.segments(segA).lengthM
-      }
-      val sa = net.segments(segA); val sb = net.segments(segB)
-      val ab = (1 - rA) * sa.lengthM + nodeDist(sa.to, sb.from) + rB * sb.lengthM
-      val ba = (1 - rB) * sb.lengthM + nodeDist(sb.to, sa.from) + rA * sa.lengthM
-      val d = math.min(ab, ba)
+      if (segA == segB) return math.abs(rA - rB) * net.segments(segA).lengthM
+      val d = math.min(directedDist(segA, rA, segB, rB), directedDist(segB, rB, segA, rA))
       if (d.isInfinite) net.pointAt(segA, rA).dist(net.pointAt(segB, rB)) else d
     }
-  }
-
-  /** Shortest segment-level route from segment `from` to segment `to`:
-    * the sequence of segments AFTER `from` up to and including `to`
-    * (empty if `from == to`). Costs are successor-segment lengths. Returns
-    * None when unreachable within `maxHops` expansions.
-    */
-  def segmentRoute(net: RoadNetwork, from: Int, to: Int, maxHops: Int = 200): Option[List[Int]] =
-    segmentSearch(net, from, to, (_, nid) => net.segments(nid).lengthM, maxHops)
-
-  /** Generic least-cost search in the segment graph with per-transition cost
-    * `cost(curSeg, nextSeg)`; shared by the shortest-path route and the
-    * statistics-weighted planner.
-    */
-  def segmentSearch(
-      net: RoadNetwork,
-      from: Int,
-      to: Int,
-      cost: (Int, Int) => Double,
-      maxHops: Int = 200,
-  ): Option[List[Int]] = {
-    if (from == to) return Some(Nil)
-    val dist = mutable.HashMap.empty[Int, Double]
-    val prev = mutable.HashMap.empty[Int, Int]
-    dist(from) = 0.0
-    val pq = new PriorityQueue[(Double, Int)](11,
-      (a: (Double, Int), b: (Double, Int)) => java.lang.Double.compare(a._1, b._1))
-    pq.add((0.0, from))
-    var expansions = 0
-    while (!pq.isEmpty && expansions < maxHops * 64) {
-      val (d, u) = pq.poll()
-      if (u == to) {
-        // Reconstruct path of segments excluding `from`.
-        var path = List.empty[Int]
-        var cur = to
-        while (cur != from) { path = cur :: path; cur = prev(cur) }
-        return Some(path)
-      }
-      if (d <= dist.getOrElse(u, Inf)) {
-        expansions += 1
-        net.nextSegments(u).foreach { v =>
-          val nd = d + math.max(1e-9, cost(u, v))
-          if (nd < dist.getOrElse(v, Inf)) {
-            dist(v) = nd; prev(v) = u; pq.add((nd, v))
-          }
-        }
-      }
-    }
-    None
   }
 }

@@ -24,17 +24,33 @@ final class HmmMatcher(
 ) extends MapMatcher {
   val name = "FMM"
 
-  def matchPoints(t: Traj): Array[Int] = {
+  def matchPoints(t: Traj): Array[Int] =
+    HmmMatcher.viterbi(net, t, k, sigmaM, betaM, (_, _) => 0.0)
+
+  def matchTraj(t: Traj): MatchedRoute = {
+    val per = matchPoints(t)
+    MatchedRoute(t.id, per, planner.stitch(per.toIndexedSeq).toArray)
+  }
+}
+
+object HmmMatcher {
+
+  /** Newson–Krumm Viterbi over each point's top-`k` candidate segments:
+    * Gaussian emission in the perpendicular distance plus `emitBonus(i, sid)`,
+    * transitions exponential in |directed network distance - straight-line
+    * distance|. Returns the decoded segment of every sparse point.
+    */
+  private[mm] def viterbi(net: RoadNetwork, t: Traj, k: Int, sigmaM: Double, betaM: Double,
+      emitBonus: (Int, Int) => Double): Array[Int] = {
     val cache = new ShortestPath.DistCache(net)
     val pts = t.sparse.map(p => XY(p.x, p.y))
     val cands = pts.map(p => net.nearestSegments(p, k))
     val emit = Array.tabulate(pts.length) { i =>
       cands(i).map { sid =>
         val d = net.rtree.distTo(pts(i), sid)
-        -d * d / (2 * sigmaM * sigmaM)
+        -d * d / (2 * sigmaM * sigmaM) + emitBonus(i, sid)
       }
     }
-    // Viterbi.
     val score = Array.tabulate(pts.length)(i => new Array[Double](cands(i).length))
     val back = Array.tabulate(pts.length)(i => new Array[Int](cands(i).length))
     score(0) = emit(0).clone()
@@ -51,9 +67,7 @@ final class HmmMatcher(
         while (kk < cands(i - 1).length) {
           val sk = cands(i - 1)(kk)
           val rk = Geo.projectRatio(pts(i - 1), net.segments(sk).a, net.segments(sk).b)
-          val dRoute = cache.directedDist(sk, rk, sj, rj)
-          val trans = -math.abs(dRoute - gc) / betaM
-          val s = score(i - 1)(kk) + trans
+          val s = score(i - 1)(kk) - math.abs(cache.directedDist(sk, rk, sj, rj) - gc) / betaM
           if (s > best) { best = s; bestK = kk }
           kk += 1
         }
@@ -66,16 +80,7 @@ final class HmmMatcher(
     val out = new Array[Int](pts.length)
     var cur = score(pts.length - 1).indices.maxBy(score(pts.length - 1))
     i = pts.length - 1
-    while (i >= 0) {
-      out(i) = cands(i)(cur)
-      if (i > 0) cur = back(i)(cur)
-      i -= 1
-    }
+    while (i >= 0) { out(i) = cands(i)(cur); if (i > 0) cur = back(i)(cur); i -= 1 }
     out
-  }
-
-  def matchTraj(t: Traj): MatchedRoute = {
-    val per = matchPoints(t)
-    MatchedRoute(t.id, per, planner.stitch(per.toIndexedSeq).toArray)
   }
 }

@@ -1,6 +1,6 @@
 package repro.mm
 
-import repro.geo.{Geo, RoadNetwork, RoutePlanner, ShortestPath, XY}
+import repro.geo.{Geo, RoadNetwork, RoutePlanner, XY}
 import repro.traj.{MatchedRoute, Traj}
 import scala.util.Random
 
@@ -31,55 +31,15 @@ final class Lhmm(
       Geo.cosine(d, p - s.a), Geo.cosine(d, s.b - p), prev, next)
   }
 
-  private def learnedLogOdds(t: Traj, i: Int, sid: Int): Double = {
-    val f = feats(t, i, sid)
+  private def logOdds(f: Array[Double]): Double = {
     var z = weights(5)
     var j = 0
     while (j < 5) { z += weights(j) * f(j); j += 1 }
     z
   }
 
-  def matchPoints(t: Traj): Array[Int] = {
-    val cache = new ShortestPath.DistCache(net)
-    val pts = t.sparse.map(p => XY(p.x, p.y))
-    val cands = pts.map(p => net.nearestSegments(p, k))
-    val emit = Array.tabulate(pts.length) { i =>
-      cands(i).map { sid =>
-        val d = net.rtree.distTo(pts(i), sid)
-        -d * d / (2 * sigmaM * sigmaM) + learnedLogOdds(t, i, sid)
-      }
-    }
-    val score = Array.tabulate(pts.length)(i => new Array[Double](cands(i).length))
-    val back = Array.tabulate(pts.length)(i => new Array[Int](cands(i).length))
-    score(0) = emit(0).clone()
-    var i = 1
-    while (i < pts.length) {
-      val gc = pts(i - 1).dist(pts(i))
-      var j = 0
-      while (j < cands(i).length) {
-        val sj = cands(i)(j)
-        val rj = Geo.projectRatio(pts(i), net.segments(sj).a, net.segments(sj).b)
-        var best = Double.NegativeInfinity; var bestK = 0
-        var kk = 0
-        while (kk < cands(i - 1).length) {
-          val sk = cands(i - 1)(kk)
-          val rk = Geo.projectRatio(pts(i - 1), net.segments(sk).a, net.segments(sk).b)
-          val s = score(i - 1)(kk) - math.abs(cache.directedDist(sk, rk, sj, rj) - gc) / betaM
-          if (s > best) { best = s; bestK = kk }
-          kk += 1
-        }
-        score(i)(j) = best + emit(i)(j)
-        back(i)(j) = bestK
-        j += 1
-      }
-      i += 1
-    }
-    val out = new Array[Int](pts.length)
-    var cur = score(pts.length - 1).indices.maxBy(score(pts.length - 1))
-    i = pts.length - 1
-    while (i >= 0) { out(i) = cands(i)(cur); if (i > 0) cur = back(i)(cur); i -= 1 }
-    out
-  }
+  def matchPoints(t: Traj): Array[Int] =
+    HmmMatcher.viterbi(net, t, k, sigmaM, betaM, (i, sid) => logOdds(feats(t, i, sid)))
 
   def matchTraj(t: Traj): MatchedRoute = {
     val per = matchPoints(t)
@@ -92,30 +52,22 @@ object Lhmm {
   def train(net: RoadNetwork, planner: RoutePlanner, trajs: IndexedSeq[Traj],
             k: Int = 8, epochs: Int = 3, lr: Double = 0.1, seed: Long = 47L): Lhmm = {
     val w = new Array[Double](6)
+    val m = new Lhmm(net, planner, k = k, weights = w)
     val rnd = new Random(seed)
     (1 to epochs).foreach { _ =>
       rnd.shuffle(trajs).foreach { t =>
         t.sparse.indices.foreach { i =>
-          val p = XY(t.sparse(i).x, t.sparse(i).y)
-          net.nearestSegments(p, k).foreach { sid =>
-            val s = net.segments(sid)
-            val d = s.dir
-            val prev = if (i > 0) Geo.cosine(d, p - XY(t.sparse(i - 1).x, t.sparse(i - 1).y)) else 0.0
-            val next = if (i + 1 < t.sparse.length) Geo.cosine(d, XY(t.sparse(i + 1).x, t.sparse(i + 1).y) - p) else 0.0
-            val f = Array(math.exp(-Geo.pointSegDist(p, s.a, s.b) / 25.0),
-              Geo.cosine(d, p - s.a), Geo.cosine(d, s.b - p), prev, next)
+          net.nearestSegments(XY(t.sparse(i).x, t.sparse(i).y), k).foreach { sid =>
+            val f = m.feats(t, i, sid)
             val label = if (sid == t.sparseTruthSeg(i)) 1.0 else 0.0
-            var z = w(5)
+            val g = lr * (label - 1.0 / (1.0 + math.exp(-m.logOdds(f))))
             var j = 0
-            while (j < 5) { z += w(j) * f(j); j += 1 }
-            val g = lr * (label - 1.0 / (1.0 + math.exp(-z)))
-            j = 0
             while (j < 5) { w(j) += g * f(j); j += 1 }
             w(5) += g
           }
         }
       }
     }
-    new Lhmm(net, planner, k = k, weights = w)
+    m
   }
 }

@@ -29,10 +29,7 @@ final case class Traj(
     sparseIdxInDense: Array[Int],
     route: Array[Int],
     dense: Array[MatchedPoint],
-) extends Serializable {
-  def numSparse: Int = sparse.length
-  def numDense: Int = dense.length
-}
+) extends Serializable
 
 /** A recovered epsilon-sampling trajectory (method output) next to its id. */
 final case class Recovered(id: Long, points: Array[MatchedPoint]) extends Serializable

@@ -39,6 +39,32 @@ class ShortestPathSpec extends AnyFunSuite {
     (1 to 60).foreach { _ =>
       val a = rnd.nextInt(net.numNodes); val b = rnd.nextInt(net.numNodes)
       assert(math.abs(ShortestPath.aStar(net, a, b) - fw(a)(b)) < 1e-6, s"$a->$b")
+      // The simulator's node path: a chain of segments from a to b as long
+      // as the shortest distance.
+      val segs = ShortestPath.nodePathSegments(net, a, b).map(_.map(net.segments(_)))
+      assert(segs.isDefined, s"$a->$b")
+      assert(segs.get.map(_.from) == (a :: segs.get.map(_.to)).init, s"$a->$b not a chain")
+      assert(segs.get.lastOption.fold(a)(_.to) == b)
+      assert(math.abs(segs.get.map(_.lengthM).sum - fw(a)(b)) < 1e-6, s"$a->$b")
+    }
+  }
+
+  test("bounded dijkstra: exact within the bound, tentative one segment past it, +inf beyond") {
+    val bound = 400.0
+    Seq(0, net.numNodes / 2).foreach { src =>
+      val d = ShortestPath.dijkstra(net, src, maxDist = bound)
+      val expanded = (0 until net.numNodes).filter(fw(src)(_) <= bound).toSet
+      val tentative = Array.fill(net.numNodes)(Double.PositiveInfinity)
+      net.segments.filter(s => expanded(s.from)).foreach { s =>
+        tentative(s.to) = math.min(tentative(s.to), fw(src)(s.from) + s.lengthM)
+      }
+      val past = (0 until net.numNodes).filter(v => !expanded(v) && tentative(v).isFinite)
+      assert(past.nonEmpty && past.size + expanded.size < net.numNodes, "bound too loose to test")
+      (0 until net.numNodes).foreach { v =>
+        if (expanded(v)) assert(math.abs(d(v) - fw(src)(v)) < 1e-6, s"src=$src v=$v")
+        else if (tentative(v).isFinite) assert(math.abs(d(v) - tentative(v)) < 1e-6, s"src=$src v=$v")
+        else assert(d(v).isPosInfinity, s"src=$src v=$v")
+      }
     }
   }
 
@@ -69,23 +95,24 @@ class ShortestPathSpec extends AnyFunSuite {
     }
   }
 
-  test("segmentRoute connects adjacent segments directly") {
-    val s0 = net.segments(0)
+  private def lengthCost(cur: Int, next: Int): Double = net.segments(next).lengthM
+
+  test("segmentSearch connects adjacent segments directly") {
     val next = net.nextSegments(0)
     assume(next.nonEmpty)
-    val r = ShortestPath.segmentRoute(net, 0, next.head)
+    val r = ShortestPath.segmentSearch(net, 0, next.head, lengthCost)
     assert(r.contains(List(next.head)))
   }
 
-  test("segmentRoute from a segment to itself is empty") {
-    assert(ShortestPath.segmentRoute(net, 3, 3).contains(Nil))
+  test("segmentSearch from a segment to itself is empty") {
+    assert(ShortestPath.segmentSearch(net, 3, 3, lengthCost).contains(Nil))
   }
 
-  test("segmentRoute forms a connected chain") {
+  test("segmentSearch forms a connected chain") {
     val rnd = new Random(13)
     (1 to 30).foreach { _ =>
       val a = rnd.nextInt(net.numSegments); val b = rnd.nextInt(net.numSegments)
-      ShortestPath.segmentRoute(net, a, b).foreach { path =>
+      ShortestPath.segmentSearch(net, a, b, lengthCost).foreach { path =>
         val full = a :: path
         full.sliding(2).foreach {
           case List(x, y) => assert(net.nextSegments(x).contains(y), s"$x !-> $y")
