@@ -15,10 +15,6 @@ final case class MmaConfig(
     heads: Int = 2,
     layers: Int = 2,
     dFfn: Int = 128,
-    // At reduced data scale the n x d0 segment table (~3 positive examples
-    // per segment) overfits badly; freezing it at the Node2Vec values keeps
-    // Eq. 1's initialisation as fixed features (DESIGN §3).
-    freezeSegEmb: Boolean = true,
     // Ablation flags (paper Table IV):
     useContext: Boolean = true,      // off => TRMMA-C variant of MMA
     useDirectional: Boolean = true,  // off => TRMMA-DI variant of MMA
@@ -42,23 +38,20 @@ final case class MmaSample(
 final class MmaModel(
     val cfg: MmaConfig,
     val net: RoadNetwork,
-    val segEmb: Embedding,    // W^C, initialised from Node2Vec (Eq. 1)
+    val segEmb: Embedding,    // W^C, the Node2Vec table of Eq. 1, frozen
     val candMlp: Mlp,         // Eq. 2
     val pointFc: Linear,      // z0 -> z1
     val encoder: TransformerEncoder, // Eq. 3
     val attnMlp: Mlp,         // Eq. 7
 ) extends Module {
 
+  // At reduced data scale the n x d0 segment table (~3 positive examples
+  // per segment) overfits badly; leaving it out of the trained parameters
+  // keeps Eq. 1's Node2Vec initialisation as fixed features (DESIGN §3).
   def params: Seq[Tensor] =
-    (if (cfg.freezeSegEmb) Seq.empty else segEmb.params) ++
-      candMlp.params ++ pointFc.params ++ encoder.params ++ attnMlp.params
+    candMlp.params ++ pointFc.params ++ encoder.params ++ attnMlp.params
 
   // ---- sample preparation (geometry only, no learnable state) ----
-
-  private val minX = net.nodes.map(_.x).min
-  private val maxX = net.nodes.map(_.x).max
-  private val minY = net.nodes.map(_.y).min
-  private val maxY = net.nodes.map(_.y).max
 
   /** Point-sequence input rows: min-max normalised (x, y, t) plus the
     * displacements to the previous/next GPS points (the raw sequence signal
@@ -72,9 +65,7 @@ final class MmaModel(
         else ((p.x - t.sparse(i - 1).x) / 500.0, (p.y - t.sparse(i - 1).y) / 500.0)
       val (dxn, dyn) = if (i + 1 == t.sparse.length) (0.0, 0.0)
         else ((t.sparse(i + 1).x - p.x) / 500.0, (t.sparse(i + 1).y - p.y) / 500.0)
-      Array((p.x - minX) / math.max(1e-9, maxX - minX),
-            (p.y - minY) / math.max(1e-9, maxY - minY),
-            (p.t - t.sparse.head.t) / tMax, dxp, dyp, dxn, dyn)
+      Array(net.normX(p.x), net.normY(p.y), (p.t - t.sparse.head.t) / tMax, dxp, dyp, dxn, dyn)
     }.toArray
   }
 
@@ -258,17 +249,7 @@ object MmaModel {
       log: String => Unit = _ => (),
   ): Seq[Double] = {
     val samples = trajs.map(model.prepare(_, withLabels = true))
-    val opt = new Adam(model.params, lr = lr)
-    val rnd = new Random(seed)
-    (1 to epochs).map { ep =>
-      val shuffled = rnd.shuffle(samples)
-      val losses = shuffled.grouped(batchSize).map { batch =>
-        Trainer.step[MmaSample](batch.toIndexedSeq, model.params, opt,
-          (s, tp) => model.loss(s)(tp))
-      }.toSeq
-      val mean = losses.sum / losses.size
-      log(f"MMA epoch $ep loss $mean%.4f")
-      mean
-    }
+    Trainer.fit(samples, model.params, new Adam(model.params, lr = lr), epochs, batchSize, seed,
+      "MMA", log)((s, tp) => model.loss(s)(tp))
   }
 }

@@ -4,7 +4,6 @@ import repro.geo.XY
 import repro.mm.MapMatcher
 import repro.recovery.Recoverer
 import repro.traj.{Recovered, Traj}
-import scala.collection.mutable
 
 /** End-to-end TRMMA (Algorithm 2): run the map matcher (MMA by default;
   * HMM / Nearest for the Table IV ablations), project the sparse points
@@ -21,32 +20,16 @@ final class Trmma(
   def recover(t: Traj): Recovered = {
     val mr = matcher.matchTraj(t)
     val segs = mr.perPoint
-    val route = if (mr.route.nonEmpty) mr.route else segs.distinct
-
-    // Dense timeline slots from observable timestamps.
-    val times = mutable.ArrayBuffer.empty[Double]
-    val observed = mutable.ArrayBuffer.empty[Boolean]
-    val slotSeg = mutable.ArrayBuffer.empty[Int]
-    val slotR = mutable.ArrayBuffer.empty[Double]
-    var i = 0
-    while (i < t.sparse.length) {
-      val p = t.sparse(i)
-      times += p.t; observed += true
-      slotSeg += segs(i)
-      slotR += model.projRatio(XY(p.x, p.y), segs(i))
-      if (i + 1 < t.sparse.length) {
-        val gaps = Recoverer.gapCount(p.t, t.sparse(i + 1).t, epsilon)
-        var g = 1
-        while (g <= gaps) {
-          times += p.t + g * epsilon; observed += false
-          slotSeg += segs(i) // placeholder, overwritten by decode
-          slotR += 0.0
-          g += 1
-        }
-      }
-      i += 1
+    val tl = Recoverer.slotTimeline(t, epsilon)
+    val observed = Array.tabulate(tl.length)(tl.observed)
+    // Missing slots carry their gap's left anchor as a placeholder; decode
+    // overwrites them.
+    val slotSeg = tl.anchor.map(i => segs(i))
+    val slotR = Array.tabulate(tl.length) { j =>
+      val i = tl.anchor(j)
+      if (observed(j)) model.projRatio(XY(t.sparse(i).x, t.sparse(i).y), segs(i)) else 0.0
     }
-    val sample = model.prepare(t, segs, route, slotSeg.toArray, slotR.toArray, observed.toArray)
-    Recovered(t.id, model.decode(sample, times.toArray))
+    val sample = model.prepare(t, segs, mr.routeOrFallback, slotSeg, slotR, observed)
+    Recovered(t.id, model.decode(sample, tl.times))
   }
 }

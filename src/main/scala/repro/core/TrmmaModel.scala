@@ -67,10 +67,6 @@ final class TrmmaModel(
       transR.params ++ gru.params ++ clsMlp.params ++ clsGeo.params ++
       ratioMlp.params ++ ratioGeo.params
 
-  private val minX = net.nodes.map(_.x).min
-  private val maxX = net.nodes.map(_.x).max
-  private val minY = net.nodes.map(_.y).min
-  private val maxY = net.nodes.map(_.y).max
   private val maxSegLen = net.segments.map(_.lengthM).max
 
   /** Projection ratio of a GPS point onto a segment (Alg. 2 line 4). */
@@ -88,9 +84,7 @@ final class TrmmaModel(
     val tMax = math.max(1e-9, t.sparse.last.t - t.sparse.head.t)
     val coords = t.sparse.indices.map { i =>
       val p = t.sparse(i)
-      Array((p.x - minX) / math.max(1e-9, maxX - minX),
-            (p.y - minY) / math.max(1e-9, maxY - minY),
-            (p.t - t.sparse.head.t) / tMax,
+      Array(net.normX(p.x), net.normY(p.y), (p.t - t.sparse.head.t) / tMax,
             projRatio(XY(p.x, p.y), segs(i)))
     }.toArray
     val arc = new RouteArc(net, route)
@@ -103,9 +97,8 @@ final class TrmmaModel(
     var cur = 0
     var j = 0
     while (j < denseSeg.length) {
-      var p = cur
-      while (p < route.length && route(p) != denseSeg(j)) p += 1
-      if (p < route.length) cur = p
+      val p = arc.posOf(denseSeg(j), cur)
+      if (p >= 0) cur = p
       pos(j) = cur
       j += 1
     }
@@ -259,9 +252,8 @@ final class TrmmaModel(
       if (s.observed(j)) {
         prevSeg = s.denseSeg(j); prevR = s.denseR(j)
         // Advance the route position monotonically to this observed segment.
-        var p = prevPos
-        while (p < s.route.length && s.route(p) != prevSeg) p += 1
-        if (p < s.route.length) prevPos = p
+        val p = RouteArc.posOf(s.route, prevSeg, prevPos)
+        if (p >= 0) prevPos = p
         out(j) = MatchedPoint(prevSeg, prevR, denseT(j))
       } else {
         val lo = s.slotLo(j); val hi = math.max(s.slotLo(j), s.slotHi(j))
@@ -317,17 +309,7 @@ object TrmmaModel {
       log: String => Unit = _ => (),
   ): Seq[Double] = {
     val samples = trajs.map(model.prepareTrain)
-    val opt = new Adam(model.params, lr = lr, clipNorm = 50.0)
-    val rnd = new Random(seed)
-    (1 to epochs).map { ep =>
-      val shuffled = rnd.shuffle(samples)
-      val losses = shuffled.grouped(batchSize).map { batch =>
-        Trainer.step[TrmmaSample](batch.toIndexedSeq, model.params, opt,
-          (s, tp) => model.loss(s)(tp))
-      }.toSeq
-      val mean = losses.sum / losses.size
-      log(f"TRMMA epoch $ep loss $mean%.4f")
-      mean
-    }
+    Trainer.fit(samples, model.params, new Adam(model.params, lr = lr, clipNorm = 50.0), epochs,
+      batchSize, seed, "TRMMA", log)((s, tp) => model.loss(s)(tp))
   }
 }

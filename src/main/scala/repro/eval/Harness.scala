@@ -189,12 +189,11 @@ object Harness {
         val arc = new RouteArc(net, t.route)
         arc.totalLen - (1 - t.dense.head.r) * net.segments(t.dense.head.seg).lengthM
       }
-      val xs = net.nodes.map(_.x); val ys = net.nodes.map(_.y)
       CityStats(city, all.length, eps, avgPts,
         lens.sum / lens.length,
         all.map(t => t.dense.last.t - t.dense.head.t).sum / all.length,
         net.numSegments, net.numNodes,
-        (xs.max - xs.min) / 1000.0 * (ys.max - ys.min) / 1000.0)
+        (net.maxX - net.minX) / 1000.0 * (net.maxY - net.minY) / 1000.0)
     }
 
     log(s"[$city] ${elapsed()} done")

@@ -38,6 +38,18 @@ final class RoadNetwork(
   val numNodes: Int = nodes.length
   val numSegments: Int = segments.length
 
+  /** Bounding box of the intersections: the frame the learned models
+    * normalise planar coordinates to [0,1] in.
+    */
+  val minX: Double = nodes.map(_.x).min
+  val maxX: Double = nodes.map(_.x).max
+  val minY: Double = nodes.map(_.y).min
+  val maxY: Double = nodes.map(_.y).max
+  def normX(x: Double): Double = (x - minX) / math.max(1e-9, maxX - minX)
+  def normY(y: Double): Double = (y - minY) / math.max(1e-9, maxY - minY)
+  def denormX(v: Double): Double = v * (maxX - minX) + minX
+  def denormY(v: Double): Double = v * (maxY - minY) + minY
+
   /** Segment ids leaving each node. */
   val outSegments: Array[Array[Int]] = {
     val buf = Array.fill(numNodes)(mutable.ArrayBuffer.empty[Int])

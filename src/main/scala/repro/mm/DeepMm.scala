@@ -2,7 +2,7 @@ package repro.mm
 
 import repro.geo.{Geo, RoadNetwork, RoutePlanner, XY}
 import repro.nn._
-import repro.traj.{MatchedRoute, Traj}
+import repro.traj.Traj
 import scala.util.Random
 
 /** DeepMM (paper ref [32]): end-to-end deep map matching. A transformer
@@ -20,17 +20,9 @@ final class DeepMmModel(
 
   def params: Seq[Tensor] = encFc.params ++ encoder.params ++ segOut.params
 
-  private val minX = net.nodes.map(_.x).min
-  private val maxX = net.nodes.map(_.x).max
-  private val minY = net.nodes.map(_.y).min
-  private val maxY = net.nodes.map(_.y).max
-
   def features(t: Traj): Array[Array[Double]] = {
     val tMax = math.max(1e-9, t.sparse.last.t - t.sparse.head.t)
-    t.sparse.map(p => Array(
-      (p.x - minX) / math.max(1e-9, maxX - minX),
-      (p.y - minY) / math.max(1e-9, maxY - minY),
-      (p.t - t.sparse.head.t) / tMax))
+    t.sparse.map(p => Array(net.normX(p.x), net.normY(p.y), (p.t - t.sparse.head.t) / tMax))
   }
 
   /** Constant spatial-prior bias: each point's nearby segments get a
@@ -82,23 +74,12 @@ object DeepMmModel {
   def train(model: DeepMmModel, trajs: IndexedSeq[Traj], epochs: Int = 10,
             batchSize: Int = 16, lr: Double = 2e-3, seed: Long = 59L,
             log: String => Unit = _ => ()): Seq[Double] = {
-    val opt = new Adam(model.params, lr = lr)
-    val rnd = new Random(seed)
-    (1 to epochs).map { ep =>
-      val losses = rnd.shuffle(trajs).grouped(batchSize).map { b =>
-        Trainer.step[Traj](b.toIndexedSeq, model.params, opt, (t, tp) => model.loss(t)(tp))
-      }.toSeq
-      val mean = losses.sum / losses.size
-      log(f"DeepMM epoch $ep loss $mean%.4f")
-      mean
-    }
+    Trainer.fit(trajs, model.params, new Adam(model.params, lr = lr), epochs, batchSize, seed,
+      "DeepMM", log)((t, tp) => model.loss(t)(tp))
   }
 }
 
-final class DeepMm(val model: DeepMmModel, planner: RoutePlanner) extends MapMatcher {
+final class DeepMm(val model: DeepMmModel, protected val planner: RoutePlanner) extends PointMatcher {
   val name = "DeepMM"
-  def matchTraj(t: Traj): MatchedRoute = {
-    val per = model.predictSegments(t)
-    MatchedRoute(t.id, per, planner.stitch(per.toIndexedSeq).toArray)
-  }
+  def matchPoints(t: Traj): Array[Int] = model.predictSegments(t)
 }

@@ -2,7 +2,7 @@ package repro.mm
 
 import repro.geo.{Geo, RoadNetwork, RoutePlanner, XY}
 import repro.nn._
-import repro.traj.{MatchedRoute, Traj}
+import repro.traj.Traj
 import scala.util.Random
 
 /** GraphMM (paper ref [13]): graph-centric map matching that leverages road
@@ -77,23 +77,12 @@ object GraphMmModel {
   def train(model: GraphMmModel, trajs: IndexedSeq[Traj], epochs: Int = 6,
             batchSize: Int = 16, lr: Double = 2e-3, seed: Long = 67L,
             log: String => Unit = _ => ()): Seq[Double] = {
-    val opt = new Adam(model.params, lr = lr)
-    val rnd = new Random(seed)
-    (1 to epochs).map { ep =>
-      val losses = rnd.shuffle(trajs).grouped(batchSize).map { b =>
-        Trainer.step[Traj](b.toIndexedSeq, model.params, opt, (t, tp) => model.loss(t)(tp))
-      }.toSeq
-      val mean = losses.sum / losses.size
-      log(f"GraphMM epoch $ep loss $mean%.4f")
-      mean
-    }
+    Trainer.fit(trajs, model.params, new Adam(model.params, lr = lr), epochs, batchSize, seed,
+      "GraphMM", log)((t, tp) => model.loss(t)(tp))
   }
 }
 
-final class GraphMm(val model: GraphMmModel, planner: RoutePlanner) extends MapMatcher {
+final class GraphMm(val model: GraphMmModel, protected val planner: RoutePlanner) extends PointMatcher {
   val name = "GraphMM"
-  def matchTraj(t: Traj): MatchedRoute = {
-    val per = model.predictSegments(t)
-    MatchedRoute(t.id, per, planner.stitch(per.toIndexedSeq).toArray)
-  }
+  def matchPoints(t: Traj): Array[Int] = model.predictSegments(t)
 }

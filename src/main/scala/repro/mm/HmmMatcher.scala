@@ -1,7 +1,7 @@
 package repro.mm
 
 import repro.geo.{Geo, RoadNetwork, RoutePlanner, ShortestPath, XY}
-import repro.traj.{MatchedRoute, Traj}
+import repro.traj.Traj
 
 /** FMM-style HMM map matching (paper ref [28], after Newson & Krumm).
   *
@@ -17,20 +17,15 @@ import repro.traj.{MatchedRoute, Traj}
   */
 final class HmmMatcher(
     net: RoadNetwork,
-    planner: RoutePlanner,
+    protected val planner: RoutePlanner,
     k: Int = 8,
     sigmaM: Double = 5.0,
     betaM: Double = 120.0,
-) extends MapMatcher {
+) extends PointMatcher {
   val name = "FMM"
 
   def matchPoints(t: Traj): Array[Int] =
     HmmMatcher.viterbi(net, t, k, sigmaM, betaM, (_, _) => 0.0)
-
-  def matchTraj(t: Traj): MatchedRoute = {
-    val per = matchPoints(t)
-    MatchedRoute(t.id, per, planner.stitch(per.toIndexedSeq).toArray)
-  }
 }
 
 object HmmMatcher {

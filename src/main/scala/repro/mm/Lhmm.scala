@@ -1,7 +1,7 @@
 package repro.mm
 
 import repro.geo.{Geo, RoadNetwork, RoutePlanner, XY}
-import repro.traj.{MatchedRoute, Traj}
+import repro.traj.Traj
 import scala.util.Random
 
 /** LHMM (paper ref [11]): an HMM whose emission probabilities are enhanced
@@ -13,12 +13,12 @@ import scala.util.Random
   */
 final class Lhmm(
     net: RoadNetwork,
-    planner: RoutePlanner,
+    protected val planner: RoutePlanner,
     k: Int = 8,
     sigmaM: Double = 5.0,
     betaM: Double = 120.0,
     val weights: Array[Double] = new Array[Double](6), // 5 feats + bias
-) extends MapMatcher {
+) extends PointMatcher {
   val name = "LHMM"
 
   private def feats(t: Traj, i: Int, sid: Int): Array[Double] = {
@@ -40,11 +40,6 @@ final class Lhmm(
 
   def matchPoints(t: Traj): Array[Int] =
     HmmMatcher.viterbi(net, t, k, sigmaM, betaM, (i, sid) => logOdds(feats(t, i, sid)))
-
-  def matchTraj(t: Traj): MatchedRoute = {
-    val per = matchPoints(t)
-    MatchedRoute(t.id, per, planner.stitch(per.toIndexedSeq).toArray)
-  }
 }
 
 object Lhmm {

@@ -3,6 +3,7 @@ package repro.nn
 import java.util.concurrent.Executors
 import scala.concurrent.duration.Duration
 import scala.concurrent.{Await, ExecutionContext, Future}
+import scala.util.Random
 
 /** Adam optimiser with global-norm gradient clipping. */
 final class Adam(
@@ -96,5 +97,21 @@ object Trainer {
     }
     opt.step(acc)
     lossSum / batch.size
+  }
+
+  /** Minibatch training shared by every model: each of `epochs` passes
+    * draws a fresh shuffle of `samples` from one `Random(seed)`, cuts it into
+    * batches of `batchSize` and takes one [[step]] per batch. Logs
+    * `"<label> epoch N loss L"` and returns the per-epoch mean batch loss.
+    */
+  def fit[S](samples: IndexedSeq[S], params: Seq[Tensor], opt: Adam, epochs: Int, batchSize: Int,
+      seed: Long, label: String, log: String => Unit)(lossOf: (S, Tape) => Tensor): Seq[Double] = {
+    val rnd = new Random(seed)
+    (1 to epochs).map { ep =>
+      val losses = rnd.shuffle(samples).grouped(batchSize).map(step(_, params, opt, lossOf)).toSeq
+      val mean = losses.sum / losses.size
+      log(f"$label epoch $ep loss $mean%.4f")
+      mean
+    }
   }
 }

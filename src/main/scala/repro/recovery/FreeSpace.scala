@@ -3,7 +3,6 @@ package repro.recovery
 import repro.geo.{Geo, RoadNetwork, XY}
 import repro.nn._
 import repro.traj.{MatchedPoint, Recovered, Traj}
-import scala.collection.mutable
 import scala.util.Random
 
 /** Shared machinery of the free-space recovery baselines (DHTR [20] and
@@ -18,30 +17,6 @@ abstract class FreeSpaceModel(
     val epsilon: Double,
 ) extends Module {
 
-  protected val minX = net.nodes.map(_.x).min
-  protected val maxX = net.nodes.map(_.x).max
-  protected val minY = net.nodes.map(_.y).min
-  protected val maxY = net.nodes.map(_.y).max
-  protected def nx(x: Double) = (x - minX) / math.max(1e-9, maxX - minX)
-  protected def ny(y: Double) = (y - minY) / math.max(1e-9, maxY - minY)
-  protected def unx(v: Double) = v * (maxX - minX) + minX
-  protected def uny(v: Double) = v * (maxY - minY) + minY
-
-  /** Slot times of the dense timeline, from observable timestamps. */
-  def slotTimes(t: Traj): Array[Double] = {
-    val times = mutable.ArrayBuffer.empty[Double]
-    var i = 0
-    while (i < t.sparse.length) {
-      times += t.sparse(i).t
-      if (i + 1 < t.sparse.length) {
-        val gaps = Recoverer.gapCount(t.sparse(i).t, t.sparse(i + 1).t, epsilon)
-        (1 to gaps).foreach(g => times += t.sparse(i).t + g * epsilon)
-      }
-      i += 1
-    }
-    times.toArray
-  }
-
   /** Predict normalised (x, y) for every slot. */
   def predictXY(t: Traj, times: Array[Double])(implicit tp: Tape): Tensor
 
@@ -52,42 +27,31 @@ abstract class FreeSpaceModel(
 
   def recover(t: Traj): Recovered = {
     implicit val tp: Tape = NoTape
-    val times = slotTimes(t)
-    val xy = predictXY(t, times)
-    val observedAt = mutable.HashMap.empty[Long, Int]
-    t.sparse.indices.foreach(i => observedAt(math.round(t.sparse(i).t * 1000)) = i)
-    val out = Array.tabulate(times.length) { j =>
-      val key = math.round(times(j) * 1000)
-      val p = observedAt.get(key) match {
-        case Some(i) => XY(t.sparse(i).x, t.sparse(i).y) // observed: snap the GPS point
-        case None =>
-          val raw = XY(unx(xy(j, 0)), uny(xy(j, 1)))
-          val lin = interp(t, times(j))
+    val tl = Recoverer.slotTimeline(t, epsilon)
+    val xy = predictXY(t, tl.times)
+    val out = Array.tabulate(tl.length) { j =>
+      val p =
+        if (tl.observed(j)) { // observed: snap the GPS point
+          val o = t.sparse(tl.anchor(j)); XY(o.x, o.y)
+        } else {
+          val raw = XY(net.denormX(xy(j, 0)), net.denormY(xy(j, 1)))
+          val lin = Recoverer.interpXY(t, tl.times(j))
           XY(raw.x * blend + lin.x * (1 - blend), raw.y * blend + lin.y * (1 - blend))
-      }
+        }
       val seg = net.nearestSegments(p, 1).head
       val s = net.segments(seg)
-      MatchedPoint(seg, Geo.projectRatio(p, s.a, s.b), times(j))
+      MatchedPoint(seg, Geo.projectRatio(p, s.a, s.b), tl.times(j))
     }
     Recovered(t.id, out)
   }
 
-  protected def interp(t: Traj, tt: Double): XY = {
-    var i = 0
-    while (i + 1 < t.sparse.length && t.sparse(i + 1).t < tt) i += 1
-    val a = t.sparse(i); val b = t.sparse(math.min(i + 1, t.sparse.length - 1))
-    val f = if (b.t - a.t < 1e-9) 0.0 else (tt - a.t) / (b.t - a.t)
-    XY(a.x + (b.x - a.x) * f, a.y + (b.y - a.y) * f)
-  }
-
   /** MSE training against the true dense coordinates. */
   def loss(t: Traj)(implicit tp: Tape): Tensor = {
-    val times = slotTimes(t)
-    val xy = predictXY(t, times)
+    val xy = predictXY(t, Recoverer.slotTimeline(t, epsilon).times)
     val target = new Array[Double](2 * t.dense.length)
     t.dense.indices.foreach { j =>
       val p = net.pointAt(t.dense(j).seg, t.dense(j).r)
-      target(2 * j) = nx(p.x); target(2 * j + 1) = ny(p.y)
+      target(2 * j) = net.normX(p.x); target(2 * j + 1) = net.normY(p.y)
     }
     Ops.scale(Ops.mseSum(xy, target), 1.0 / t.dense.length)
   }
@@ -97,17 +61,8 @@ object FreeSpaceModel {
   def train(model: FreeSpaceModel, trajs: IndexedSeq[Traj], epochs: Int = 10,
             batchSize: Int = 16, lr: Double = 2e-3, seed: Long = 37L,
             log: String => Unit = _ => ()): Seq[Double] = {
-    val opt = new Adam(model.params, lr = lr)
-    val rnd = new Random(seed)
-    (1 to epochs).map { ep =>
-      val shuffled = rnd.shuffle(trajs)
-      val losses = shuffled.grouped(batchSize).map { b =>
-        Trainer.step[Traj](b.toIndexedSeq, model.params, opt, (t, tp) => model.loss(t)(tp))
-      }.toSeq
-      val mean = losses.sum / losses.size
-      log(f"freespace epoch $ep loss $mean%.5f")
-      mean
-    }
+    Trainer.fit(trajs, model.params, new Adam(model.params, lr = lr), epochs, batchSize, seed,
+      "freespace", log)((t, tp) => model.loss(t)(tp))
   }
 }
 
@@ -130,12 +85,12 @@ final class DhtrModel(
   def predictXY(t: Traj, times: Array[Double])(implicit tp: Tape): Tensor = {
     val tMax = math.max(1e-9, t.sparse.last.t - t.sparse.head.t)
     val feats = t.sparse.map(p =>
-      Array(nx(p.x), ny(p.y), (p.t - t.sparse.head.t) / tMax))
+      Array(net.normX(p.x), net.normY(p.y), (p.t - t.sparse.head.t) / tMax))
     val enc = encoder(encFc(Tensor.fromRows(feats.toIndexedSeq)))
     val rows = times.map { tt =>
-      val lin = interp(t, tt)
+      val lin = Recoverer.interpXY(t, tt)
       val q = queryFc(new Tensor(1, 3,
-        Array(nx(lin.x), ny(lin.y), (tt - t.sparse.head.t) / tMax)))
+        Array(net.normX(lin.x), net.normY(lin.y), (tt - t.sparse.head.t) / tMax)))
       val scores = Ops.matmul(q, Ops.transpose(enc))
       val ctx = Ops.matmul(Ops.softmaxRows(scores), enc)
       Ops.sigmoid(head(Ops.concatCols(q, ctx)))
@@ -175,11 +130,11 @@ final class TeriModel(
   def predictXY(t: Traj, times: Array[Double])(implicit tp: Tape): Tensor = {
     val tMax = math.max(1e-9, t.sparse.last.t - t.sparse.head.t)
     val feats = t.sparse.map(p =>
-      Array(nx(p.x), ny(p.y), (p.t - t.sparse.head.t) / tMax))
+      Array(net.normX(p.x), net.normY(p.y), (p.t - t.sparse.head.t) / tMax))
     val enc = encoder(encFc(Tensor.fromRows(feats.toIndexedSeq)))
     val queries = times.map { tt =>
-      val lin = interp(t, tt)
-      Array(nx(lin.x), ny(lin.y), (tt - t.sparse.head.t) / tMax)
+      val lin = Recoverer.interpXY(t, tt)
+      Array(net.normX(lin.x), net.normY(lin.y), (tt - t.sparse.head.t) / tMax)
     }
     val q = queryFc(Tensor.fromRows(queries.toIndexedSeq))
     val ctx = cross(q, enc)

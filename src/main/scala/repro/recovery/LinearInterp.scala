@@ -3,7 +3,6 @@ package repro.recovery
 import repro.geo.{Geo, RoadNetwork, XY}
 import repro.mm.MapMatcher
 import repro.traj.{MatchedPoint, Recovered, Traj}
-import scala.collection.mutable
 
 /** Baseline `Linear` (paper VI-A) and the ablation combinations
   * `MMA+linear` / `Nearest+linear` (Table IV): map-match the sparse points
@@ -23,9 +22,8 @@ final class LinearInterp(
 
   def recover(t: Traj): Recovered = {
     val mr = matcher.matchTraj(t)
-    val route = if (mr.route.nonEmpty) mr.route else mr.perPoint.distinct
+    val route = mr.routeOrFallback
     val arc = new RouteArc(net, route)
-    val out = mutable.ArrayBuffer.empty[MatchedPoint]
     // Matched point of each sparse point: (route position, ratio).
     val anchors = mr.perPoint.zipWithIndex.map { case (seg, i) =>
       val p = XY(t.sparse(i).x, t.sparse(i).y)
@@ -39,22 +37,20 @@ final class LinearInterp(
       if (p >= 0) pos = p
       arc.arcOf(math.max(0, p), r)
     }
-    var i = 0
-    while (i < t.sparse.length) {
-      out += MatchedPoint(anchors(i)._1, anchors(i)._2, t.sparse(i).t)
-      if (i + 1 < t.sparse.length) {
-        val gaps = Recoverer.gapCount(t.sparse(i).t, t.sparse(i + 1).t, epsilon)
+    val tl = Recoverer.slotTimeline(t, epsilon)
+    val first = (0 until tl.length).filter(tl.observed) // slot of each sparse point
+    val out = Array.tabulate(tl.length) { j =>
+      val i = tl.anchor(j)
+      val g = j - first(i)
+      if (g == 0) MatchedPoint(anchors(i)._1, anchors(i)._2, tl.times(j))
+      else {
+        // Slot g of the gap's `first(i + 1) - first(i) - 1` missing slots.
+        val f = g.toDouble / (first(i + 1) - first(i))
         val a0 = arcPos(i); val a1 = math.max(arcPos(i + 1), a0)
-        var g = 1
-        while (g <= gaps) {
-          val f = g.toDouble / (gaps + 1)
-          val (p, r) = arc.atArc(a0 + f * (a1 - a0))
-          out += MatchedPoint(route(p), r, t.sparse(i).t + g * epsilon)
-          g += 1
-        }
+        val (p, r) = arc.atArc(a0 + f * (a1 - a0))
+        MatchedPoint(route(p), r, tl.times(j))
       }
-      i += 1
     }
-    Recovered(t.id, out.toArray)
+    Recovered(t.id, out)
   }
 }

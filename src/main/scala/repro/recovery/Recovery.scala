@@ -1,6 +1,8 @@
 package repro.recovery
 
-import repro.traj.{Recovered, Traj}
+import repro.geo.XY
+import repro.traj.{GpsPoint, Recovered, Traj}
+import scala.collection.mutable
 
 /** A trajectory-recovery method: from the sparse observed points of `t`,
   * produce the map-matched epsilon-sampling trajectory (paper Definition 7).
@@ -12,6 +14,15 @@ trait Recoverer extends Serializable {
   def recover(t: Traj): Recovered
 }
 
+/** The dense epsilon-timeline a recoverer fills: slot j has timestamp
+  * `times(j)` and lies at or after sparse point `anchor(j)`, in the gap
+  * before the next one. The slot of each sparse point is observed.
+  */
+final class SlotTimeline(val times: Array[Double], val anchor: Array[Int]) {
+  def length: Int = times.length
+  def observed(j: Int): Boolean = j == 0 || anchor(j) != anchor(j - 1)
+}
+
 object Recoverer {
   /** Number of missing points between consecutive observed timestamps at
     * target rate `epsilon` (Algorithm 2 line 9, with exact-multiple
@@ -19,4 +30,42 @@ object Recoverer {
     */
   def gapCount(tPrev: Double, tNext: Double, epsilon: Double): Int =
     math.max(0, math.round((tNext - tPrev) / epsilon).toInt - 1)
+
+  /** The timeline from observable timestamps only: every sparse point `p`,
+    * then `gapCount` missing slots at `p.t + g * epsilon`.
+    */
+  def slotTimeline(t: Traj, epsilon: Double): SlotTimeline = {
+    val times = mutable.ArrayBuffer.empty[Double]
+    val anchor = mutable.ArrayBuffer.empty[Int]
+    var i = 0
+    while (i < t.sparse.length) {
+      val p = t.sparse(i)
+      times += p.t; anchor += i
+      if (i + 1 < t.sparse.length) {
+        val gaps = gapCount(p.t, t.sparse(i + 1).t, epsilon)
+        var g = 1
+        while (g <= gaps) { times += p.t + g * epsilon; anchor += i; g += 1 }
+      }
+      i += 1
+    }
+    new SlotTimeline(times.toArray, anchor.toArray)
+  }
+
+  /** The observed points bracketing time `tt`: the last one before it (the
+    * first point if none) and its successor (itself at the end).
+    */
+  def bracket(t: Traj, tt: Double): (GpsPoint, GpsPoint) = {
+    var i = 0
+    while (i + 1 < t.sparse.length && t.sparse(i + 1).t < tt) i += 1
+    (t.sparse(i), t.sparse(math.min(i + 1, t.sparse.length - 1)))
+  }
+
+  /** Free-space position at time `tt`, linearly interpolated between the
+    * observed points bracketing it.
+    */
+  def interpXY(t: Traj, tt: Double): XY = {
+    val (a, b) = bracket(t, tt)
+    val f = if (b.t - a.t < 1e-9) 0.0 else (tt - a.t) / (b.t - a.t)
+    XY(a.x + (b.x - a.x) * f, a.y + (b.y - a.y) * f)
+  }
 }

@@ -34,7 +34,12 @@ final class RouteArc(net: RoadNetwork, val route: Array[Int]) extends Serializab
   }
 
   /** First route position of segment `seg` at/after `from`, or -1. */
-  def posOf(seg: Int, from: Int): Int = {
+  def posOf(seg: Int, from: Int): Int = RouteArc.posOf(route, seg, from)
+}
+
+object RouteArc {
+  /** First position of segment `seg` in `route` at/after `from`, or -1. */
+  def posOf(route: Array[Int], seg: Int, from: Int): Int = {
     var p = math.max(0, from)
     while (p < route.length && route(p) != seg) p += 1
     if (p < route.length) p else -1

@@ -3,7 +3,6 @@ package repro.recovery
 import repro.geo.{Geo, RoadNetwork, XY}
 import repro.nn._
 import repro.traj.{MatchedPoint, Recovered, Traj}
-import scala.collection.mutable
 import scala.util.Random
 
 /** Configuration of the MTrajRec-family seq2seq recovery baselines.
@@ -75,13 +74,6 @@ final class SeqRecModel(
       attnProj.params ++ clsProj.params ++ geoMlp.params ++ ratioMlp.params
   }
 
-  private val minX = net.nodes.map(_.x).min
-  private val maxX = net.nodes.map(_.x).max
-  private val minY = net.nodes.map(_.y).min
-  private val maxY = net.nodes.map(_.y).max
-  private def nx(x: Double) = (x - minX) / math.max(1e-9, maxX - minX)
-  private def ny(y: Double) = (y - minY) / math.max(1e-9, maxY - minY)
-
   /** Per-point encoder features, depending on `kind`. */
   private def pointFeats(t: Traj, i: Int, nearSeg: Int): Array[Double] = {
     val p = t.sparse(i)
@@ -93,7 +85,7 @@ final class SeqRecModel(
         val q = t.sparse(i - 1)
         ((p.t - q.t) / tMax, math.hypot(p.x - q.x, p.y - q.y) / 3000.0)
       }
-    val base = Array(nx(p.x), ny(p.y), tn, dt, dist)
+    val base = Array(net.normX(p.x), net.normY(p.y), tn, dt, dist)
     val n2v = (0 until cfg.d0).map(j => node2vec(nearSeg, j)).toArray
     cfg.kind match {
       case "mtrajrec" => base
@@ -112,33 +104,15 @@ final class SeqRecModel(
 
   def featDim: Int = SeqRecModel.featDim(cfg)
 
-  /** Time-interpolated free-space position at slot time `tt` between the
-    * observed points bracketing it — the anchor of the constraint mask.
-    */
-  private def interpXY(t: Traj, tt: Double): XY = {
-    var i = 0
-    while (i + 1 < t.sparse.length && t.sparse(i + 1).t < tt) i += 1
-    val a = t.sparse(i); val b = t.sparse(math.min(i + 1, t.sparse.length - 1))
-    val f = if (b.t - a.t < 1e-9) 0.0 else (tt - a.t) / (b.t - a.t)
-    XY(a.x + (b.x - a.x) * f, a.y + (b.y - a.y) * f)
-  }
-
   def prepare(t: Traj, withLabels: Boolean): SeqRecSample = {
     val nearSeg = t.sparse.map(p => net.nearestSegments(XY(p.x, p.y), 1).head)
     val feats = Array.tabulate(t.sparse.length)(i => pointFeats(t, i, nearSeg(i)))
-    // Dense slot times from observable timestamps.
-    val times = mutable.ArrayBuffer.empty[Double]
-    var i = 0
-    while (i < t.sparse.length) {
-      times += t.sparse(i).t
-      if (i + 1 < t.sparse.length) {
-        val gaps = Recoverer.gapCount(t.sparse(i).t, t.sparse(i + 1).t, epsilon)
-        (1 to gaps).foreach(g => times += t.sparse(i).t + g * epsilon)
-      }
-      i += 1
-    }
+    val times = Recoverer.slotTimeline(t, epsilon).times
     val L = times.length
-    val masks = Array.tabulate(L)(j => net.nearestSegments(interpXY(t, times(j)), cfg.maskK))
+    // The time-interpolated free-space position of each slot anchors its
+    // constraint mask.
+    val interp = times.map(Recoverer.interpXY(t, _))
+    val masks = interp.map(net.nearestSegments(_, cfg.maskK))
     val maxLen = net.segments.map(_.lengthM).max
     // Per-candidate geometry: proximity to the interpolated position (two
     // decay scales), direction alignment with the travel direction, and
@@ -146,21 +120,18 @@ final class SeqRecModel(
     // geometry into its embedding, which needs orders of magnitude more
     // training data than we generate.
     val maskFeat = Array.tabulate(L) { j =>
-      val ip = interpXY(t, times(j))
       // travel direction between bracketing observed points
-      var i2 = 0
-      while (i2 + 1 < t.sparse.length && t.sparse(i2 + 1).t < times(j)) i2 += 1
-      val a = t.sparse(i2); val b = t.sparse(math.min(i2 + 1, t.sparse.length - 1))
+      val (a, b) = Recoverer.bracket(t, times(j))
       val dir = XY(b.x - a.x, b.y - a.y)
       masks(j).flatMap { sid =>
         val seg = net.segments(sid)
-        val d = Geo.pointSegDist(ip, seg.a, seg.b)
+        val d = Geo.pointSegDist(interp(j), seg.a, seg.b)
         Array(math.exp(-d / 50.0), math.exp(-d / 150.0),
           Geo.cosine(seg.dir, dir), seg.lengthM / maxLen)
       }
     }
     val dur = math.max(1e-9, times.last - times.head)
-    val tNorm = times.map(tt => (tt - times.head) / dur).toArray
+    val tNorm = times.map(tt => (tt - times.head) / dur)
     val (tSeg, tR) =
       if (withLabels) (t.dense.map(_.seg), t.dense.map(_.r))
       else (Array.fill(L)(-1), new Array[Double](L))
@@ -224,17 +195,7 @@ final class SeqRecModel(
     val s = prepare(t, withLabels = false)
     val enc = encode(s)
     var h = Ops.meanRows(enc)
-    // Rebuild slot times (prepare discards them).
-    val times = mutable.ArrayBuffer.empty[Double]
-    var i = 0
-    while (i < t.sparse.length) {
-      times += t.sparse(i).t
-      if (i + 1 < t.sparse.length) {
-        val gaps = Recoverer.gapCount(t.sparse(i).t, t.sparse(i + 1).t, epsilon)
-        (1 to gaps).foreach(g => times += t.sparse(i).t + g * epsilon)
-      }
-      i += 1
-    }
+    val times = Recoverer.slotTimeline(t, epsilon).times
     val out = new Array[MatchedPoint](s.masks.length)
     var prevSeg = s.masks(0)(0)
     var prevR = 0.0
@@ -288,17 +249,8 @@ object SeqRecModel {
             batchSize: Int = 16, lr: Double = 2e-3, seed: Long = 31L,
             log: String => Unit = _ => ()): Seq[Double] = {
     val samples = trajs.map(model.prepare(_, withLabels = true))
-    val opt = new Adam(model.params, lr = lr)
-    val rnd = new Random(seed)
-    (1 to epochs).map { ep =>
-      val shuffled = rnd.shuffle(samples)
-      val losses = shuffled.grouped(batchSize).map { b =>
-        Trainer.step[SeqRecSample](b.toIndexedSeq, model.params, opt, (s, tp) => model.loss(s)(tp))
-      }.toSeq
-      val mean = losses.sum / losses.size
-      log(f"${model.cfg.kind} epoch $ep loss $mean%.4f")
-      mean
-    }
+    Trainer.fit(samples, model.params, new Adam(model.params, lr = lr), epochs, batchSize, seed,
+      model.cfg.kind, log)((s, tp) => model.loss(s)(tp))
   }
 }
 

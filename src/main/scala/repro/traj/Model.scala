@@ -35,4 +35,9 @@ final case class Traj(
 final case class Recovered(id: Long, points: Array[MatchedPoint]) extends Serializable
 
 /** A map-matching output: the route plus per-point matched segments. */
-final case class MatchedRoute(id: Long, perPoint: Array[Int], route: Array[Int]) extends Serializable
+final case class MatchedRoute(id: Long, perPoint: Array[Int], route: Array[Int]) extends Serializable {
+  /** The route, or the distinct per-point segments when it is empty: what
+    * the route-based recoverers (TRMMA, Linear) work along.
+    */
+  def routeOrFallback: Array[Int] = if (route.nonEmpty) route else perPoint.distinct
+}

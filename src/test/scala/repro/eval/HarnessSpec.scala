@@ -54,6 +54,22 @@ class HarnessSpec extends SparkSpec {
     assert(acc("TRMMA") > acc("TERI"), s"$acc")
   }
 
+  test("harness writes every Table III/IV/V metric to target/harness-XA-tiny.tsv") {
+    // A bit-level record of the run: diff it between two commits to show a
+    // refactor left every method's numbers unchanged. Timings are left out.
+    def rows(table: String, scores: Iterable[(String, Map[String, Double])]): Iterable[String] =
+      scores.flatMap { case (method, m) =>
+        m.toSeq.sortBy(_._1).map { case (k, v) => f"$table\t$method\t$k\t$v%.10f" }
+      }
+    val lines = rows("III", ev.recovery.map { case (k, v) => k -> v.metrics }) ++
+      rows("IV", ev.ablation.map { case (k, v) => k -> Map("accuracy" -> v) }) ++
+      rows("V", ev.mapmatch.map { case (k, v) => k -> v.metrics })
+    val out = java.nio.file.Paths.get("target", "harness-XA-tiny.tsv")
+    java.nio.file.Files.createDirectories(out.getParent)
+    java.nio.file.Files.write(out, lines.mkString("", "\n", "\n").getBytes("UTF-8"))
+    assert(lines.size == 10 * 6 + 8 + 7 * 4)
+  }
+
   test("Table II stats mirror the configured dataset") {
     assert(ev.stats.name == "XA")
     assert(ev.stats.epsilonS == 12.0)

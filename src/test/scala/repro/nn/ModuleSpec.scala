@@ -150,6 +150,48 @@ class ModuleSpec extends AnyFunSuite {
     assert(l2 < l1)
   }
 
+  test("Trainer.fit visits every sample once per epoch in batches of batchSize") {
+    // Loss (s + 1) * w: the gradient is always positive, so every step moves
+    // w and the value of w a sample sees identifies its batch.
+    val w = new Tensor(1, 1, Array(1.0))
+    val seen = new java.util.concurrent.ConcurrentLinkedQueue[(Int, Double, Int)]()
+    var epoch = 0
+    def log(line: String): Unit = { epoch += 1; assert(line.startsWith(s"unit epoch $epoch loss ")) }
+    val losses = Trainer.fit((0 until 10).toIndexedSeq, Seq(w), new Adam(Seq(w)), epochs = 3,
+      batchSize = 4, seed = 5L, label = "unit", log = log) { (s, tp) =>
+      seen.add((epoch, w.data(0), s))
+      Ops.scale(w, s + 1.0)(tp)
+    }
+    assert(losses.length == 3 && epoch == 3)
+    val visits = seen.toArray(Array.empty[(Int, Double, Int)]).toSeq
+    (0 until 3).foreach { ep =>
+      val inEpoch = visits.filter(_._1 == ep)
+      assert(inEpoch.map(_._3).sorted == (0 until 10))
+      assert(inEpoch.groupBy(_._2).values.map(_.size).toSeq.sorted == Seq(2, 4, 4))
+    }
+  }
+
+  test("Trainer.fit with one seed leaves identical parameters") {
+    val data = {
+      val r = new Random(11)
+      (0 until 40).map(_ => (Array(r.nextGaussian(), r.nextGaussian()), r.nextGaussian()))
+    }
+    def run(seed: Long): (Seq[Double], Seq[Array[Double]]) = {
+      val m = Mlp(2, 8, 1, new Random(3))
+      val losses = Trainer.fit(data, m.params, new Adam(m.params, lr = 0.01), epochs = 3,
+        batchSize = 6, seed = seed, label = "mlp", log = _ => ()) {
+        case ((x, y), tp) => Ops.mseSum(m(new Tensor(1, 2, x))(tp), Array(y))(tp)
+      }
+      (losses, m.params.map(_.data))
+    }
+    val (l1, p1) = run(9L)
+    val (l2, p2) = run(9L)
+    assert(l1 == l2)
+    assert(p1.zip(p2).forall { case (a, b) => a.sameElements(b) })
+    val (_, p3) = run(10L)
+    assert(!p1.zip(p3).forall { case (a, b) => a.sameElements(b) }, "the seed must matter")
+  }
+
   test("gradient clipping caps the applied norm") {
     val w = new Tensor(1, 1, Array(0.0))
     val opt = new Adam(Seq(w), lr = 1.0, clipNorm = 1.0)

@@ -41,6 +41,31 @@ class RecoverySpec extends AnyFunSuite {
     assert(Recoverer.gapCount(0, 0, 15) == 0)
   }
 
+  test("slot timeline matches the dense timeline on simulator trajectories") {
+    (trainSet.take(40) ++ testSet).foreach { t =>
+      val tl = Recoverer.slotTimeline(t, cfg.epsilon)
+      assert(tl.length == t.dense.length)
+      tl.times.zip(t.dense).foreach { case (tt, d) => assert(math.abs(tt - d.t) < 1e-6) }
+      assert((0 until tl.length).filter(tl.observed) == t.sparseIdxInDense.toSeq)
+      (0 until tl.length).foreach(j => assert(tl.anchor(j) == t.sparseIdxInDense.lastIndexWhere(_ <= j)))
+    }
+  }
+
+  test("slot timeline rounds gaps whose timestamps are not multiples of epsilon") {
+    val ts = Seq(0.0, 37.0, 52.4, 100.0, 122.5, 123.0)
+    val t = Traj(1L, ts.map(repro.traj.GpsPoint(0, 0, _)).toArray, Array.empty, Array.empty,
+      Array.empty, Array.empty)
+    val tl = Recoverer.slotTimeline(t, 15.0)
+    // 37/15 -> 1 missing slot; 15.4/15 -> none; 47.6/15 -> 2; 22.5/15 = 1.5
+    // rounds up -> 1; 0.5/15 -> none.
+    val want = Seq(0.0, 15.0, 37.0, 52.4, 67.4, 82.4, 100.0, 115.0, 122.5, 123.0)
+    assert(tl.length == want.length)
+    tl.times.zip(want).foreach { case (a, b) => assert(math.abs(a - b) < 1e-9, s"${tl.times.toSeq}") }
+    assert(tl.anchor.toSeq == Seq(0, 0, 1, 2, 2, 2, 3, 3, 4, 5))
+    assert((0 until tl.length).map(tl.observed) ==
+      Seq(true, false, true, true, false, false, true, false, true, true))
+  }
+
   test("Linear on the truth matcher is exact for constant-speed segments") {
     val lin = new LinearInterp(net, new TruthMatcher, cfg.epsilon, "Linear")
     testSet.take(20).foreach { t =>
