@@ -102,61 +102,67 @@ final class MmaModel(
     // neighbouring points, measured as |network travel distance - straight
     // line| (the same signal an HMM's transition uses, here consumed as a
     // learned per-candidate feature).
-    // Bounded multi-source Dijkstra tables: for each point, the network
-    // distances from every distinct candidate exit node (amortises the
-    // otherwise quadratic per-pair A* cost of the transition features).
+    // Bounded Dijkstra tables: netDist(i)(j)(k) is the network distance
+    // from the exit node of cands(i)(j) to the entrance node of
+    // cands(i + 1)(k), one search per distinct exit node, stopped once those
+    // entrances are settled (amortises the otherwise quadratic per-pair A*
+    // cost of the transition features).
     val maxGap = (1 until l).map(i =>
       XY(t.sparse(i).x, t.sparse(i).y).dist(XY(t.sparse(i - 1).x, t.sparse(i - 1).y)))
       .foldLeft(500.0)(math.max)
     val bound = maxGap * 2.5 + 1500
-    val exitDist: Array[Map[Int, Array[Double]]] = Array.tabulate(l) { i =>
-      cands(i).map(sid => net.segments(sid).to).distinct
-        .map(node => node -> ShortestPath.dijkstra(net, node, maxDist = bound)).toMap
+    val netDist: Array[Array[Array[Double]]] = Array.tabulate(l - 1) { i =>
+      val entrances = cands(i + 1).map(sid => net.segments(sid).from)
+      val exits = cands(i).map(sid => net.segments(sid).to)
+      val fromExit = exits.distinct.map(node => node -> ShortestPath.dijkstraTo(net, node, bound, entrances)).toMap
+      exits.map(fromExit)
     }
-    def directed(iFrom: Int, sf: Int, rf: Double, sTo: Int, rTo: Double): Double = {
+    def directed(sf: Int, rf: Double, sTo: Int, rTo: Double, d: Double): Double = {
       val a = net.segments(sf); val b = net.segments(sTo)
       if (sf == sTo && rTo >= rf) return (rTo - rf) * a.lengthM
-      val d = exitDist(iFrom)(a.to)(b.from)
       (1 - rf) * a.lengthM + d + rTo * b.lengthM
     }
-    // Plausibility vs a neighbour point: expected transition consistency
-    // over the neighbour's candidates, weighted by their emission proximity
-    // (a soft one-step Viterbi message), at two decay scales.
-    def plaus(iNb: Int, segFrom: Seq[Int], p0: XY, p1: XY, sid: Int, rSid: Double,
-              forward: Boolean, iSelf: Int): (Double, Double) = {
-      val gc = p0.dist(p1)
+    val pts = Array.tabulate(l)(i => XY(t.sparse(i).x, t.sparse(i).y))
+    // Projection ratio and emission weight of every candidate of every point.
+    val ratio = Array.tabulate(l)(i => cands(i).map { sid =>
+      val seg = net.segments(sid)
+      Geo.projectRatio(pts(i), seg.a, seg.b)
+    })
+    val wEmit = Array.tabulate(l)(i => cands(i).map { sid =>
+      val seg = net.segments(sid)
+      val dEmit = Geo.pointSegDist(pts(i), seg.a, seg.b)
+      math.exp(-dEmit * dEmit / (2 * 10.0 * 10.0)) + 1e-6
+    })
+    // Plausibility of candidate j of point i vs neighbour point iNb:
+    // expected transition consistency over the neighbour's candidates,
+    // weighted by their emission proximity (a soft one-step Viterbi
+    // message), at two decay scales.
+    def plaus(iNb: Int, i: Int, j: Int, forward: Boolean): (Double, Double) = {
+      val gc = pts(iNb).dist(pts(i))
+      val sid = cands(i)(j); val rSid = ratio(i)(j)
       var wSum = 0.0; var f60 = 0.0; var f200 = 0.0
-      segFrom.foreach { sf =>
-        val seg = net.segments(sf)
-        val rf = Geo.projectRatio(p0, seg.a, seg.b)
-        val dEmit = Geo.pointSegDist(p0, seg.a, seg.b)
-        val wNb = math.exp(-dEmit * dEmit / (2 * 10.0 * 10.0)) + 1e-6
-        val d = if (forward) directed(iNb, sf, rf, sid, rSid)
-                else directed(iSelf, sid, rSid, sf, rf)
+      var k = 0
+      while (k < cands(iNb).length) {
+        val sf = cands(iNb)(k); val rf = ratio(iNb)(k); val wNb = wEmit(iNb)(k)
+        val d = if (forward) directed(sf, rf, sid, rSid, netDist(iNb)(k)(j))
+                else directed(sid, rSid, sf, rf, netDist(i)(j)(k))
         val diff = math.abs(d - gc)
         wSum += wNb
         // Gap-adaptive decay scales: a 100 m detour matters on a 500 m gap
         // but is noise on a 4 km one (BJ's 600 s gaps).
         f60 += wNb * math.exp(-diff / (30.0 + 0.05 * gc))
         f200 += wNb * math.exp(-diff / (100.0 + 0.2 * gc))
+        k += 1
       }
       (f60 / wSum, f200 / wSum)
     }
     val feats = Array.tabulate(l) { i =>
-      val p = XY(t.sparse(i).x, t.sparse(i).y)
+      val p = pts(i)
       val dMin = cands(i).map(sid => net.rtree.distTo(p, sid)).min
-      cands(i).flatMap { sid =>
-        val seg = net.segments(sid)
-        val r = Geo.projectRatio(p, seg.a, seg.b)
-        val (fPrev60, fPrev200) = if (i == 0) (1.0, 1.0) else {
-          val q = XY(t.sparse(i - 1).x, t.sparse(i - 1).y)
-          plaus(i - 1, cands(i - 1).toSeq, q, p, sid, r, forward = true, iSelf = i)
-        }
-        val (fNext60, fNext200) = if (i + 1 == l) (1.0, 1.0) else {
-          val q = XY(t.sparse(i + 1).x, t.sparse(i + 1).y)
-          plaus(i + 1, cands(i + 1).toSeq, q, p, sid, r, forward = false, iSelf = i)
-        }
-        dirFeats(t, i, sid, dMin) ++ Array(fPrev60, fPrev200, fNext60, fNext200)
+      cands(i).indices.toArray.flatMap { j =>
+        val (fPrev60, fPrev200) = if (i == 0) (1.0, 1.0) else plaus(i - 1, i, j, forward = true)
+        val (fNext60, fNext200) = if (i + 1 == l) (1.0, 1.0) else plaus(i + 1, i, j, forward = false)
+        dirFeats(t, i, cands(i)(j), dMin) ++ Array(fPrev60, fPrev200, fNext60, fNext200)
       }
     }
     val labels =

@@ -57,12 +57,14 @@ final class RoadNetwork(
     buf.map(_.toArray)
   }
 
-  /** Successor segments of `segId` in the segment graph (those leaving its
-    * exit node). The exact reverse segment is excluded — U-turns are not
-    * normal route continuations — unless it is the ONLY way out (dead-end
-    * roads), which keeps the segment graph strongly connected.
+  /** Exit node and length of each segment in `outSegments`, aligned with
+    * it: the node graph's arc heads and costs.
     */
-  def nextSegments(segId: Int): Array[Int] = {
+  private[geo] val outHeads: Array[Array[Int]] = outSegments.map(_.map(segments(_).to))
+  private[geo] val outLengths: Array[Array[Double]] = outSegments.map(_.map(segments(_).lengthM))
+
+  /** `nextSegments` of every segment, computed once. */
+  private[geo] val successors: Array[Array[Int]] = Array.tabulate(numSegments) { segId =>
     val s = segments(segId)
     val all = outSegments(s.to)
     val noUturn = all.filter { nid =>
@@ -71,6 +73,14 @@ final class RoadNetwork(
     }
     if (noUturn.nonEmpty) noUturn else all
   }
+
+  /** Successor segments of `segId` in the segment graph (those leaving its
+    * exit node). The exact reverse segment is excluded — U-turns are not
+    * normal route continuations — unless it is the ONLY way out (dead-end
+    * roads), which keeps the segment graph strongly connected. The array is
+    * shared by every caller and must not be written.
+    */
+  def nextSegments(segId: Int): Array[Int] = successors(segId)
 
   /** Planar point at position ratio `r` on segment `segId`. */
   def pointAt(segId: Int, r: Double): XY = {

@@ -36,16 +36,22 @@ final class RoutePlanner(
     -math.log((c + 1.0) / (tot + deg.toDouble))
   }
 
+  /** Planning cost of every segment-graph arc, aligned with
+    * `net.nextSegments` and floored at 1e-9 so that every step costs
+    * something.
+    */
+  private val arcCost: Array[Array[Double]] = Array.tabulate(net.numSegments) { cur =>
+    net.nextSegments(cur).map(next =>
+      math.max(1e-9, net.segments(next).lengthM + beta * negLogProb(cur, next)))
+  }
+
   /** Segments connecting `from` to `to`, excluding `from`, including `to`;
     * Nil when `from == to`. When `to` is unreachable from `from` the route
     * jumps straight to `to`, which cannot happen on a strongly connected
     * network.
     */
   def plan(from: Int, to: Int): List[Int] =
-    ShortestPath
-      .segmentSearch(net, from, to,
-        (cur, next) => net.segments(next).lengthM + beta * negLogProb(cur, next))
-      .getOrElse(List(to))
+    ShortestPath.segmentSearch(net, from, to, arcCost).getOrElse(List(to))
 
   /** Stitch per-point matched segments into a route: consecutive duplicate
     * segments collapse; gaps are filled by `plan`. (Algorithm 1, lines 10-13.)

@@ -1,6 +1,5 @@
 package repro.geo
 
-import java.util.PriorityQueue
 import scala.collection.mutable
 
 /** Shortest-path queries over a [[RoadNetwork]]: node-level Dijkstra,
@@ -30,47 +29,107 @@ object ShortestPath {
     }
   }
 
-  /** Best-first search from `src` over `n` vertices. Arc `a` in `arcs(u)`
-    * leads to `head(a)` at `cost(u, a)`; the queue key is distance plus
-    * `h` (Dijkstra when `h` is 0, A* when it is a lower bound). Stops when
-    * `target` is popped. A vertex farther than `bound` is settled but not
-    * expanded, so a vertex one arc past the bound keeps its tentative
-    * distance and everything farther stays +inf.
+  /** Binary min-heap of (key, vertex) entries on two primitive arrays. Its
+    * sift-up and sift-down are those of `java.util.PriorityQueue` ordered by
+    * `java.lang.Double.compare` on the key, so entries with equal keys pop
+    * in the same order as they would from that queue.
+    */
+  private final class Heap {
+    private var keys = new Array[Double](64)
+    private var verts = new Array[Int](64)
+    private var size = 0
+
+    def isEmpty: Boolean = size == 0
+
+    def add(key: Double, v: Int): Unit = {
+      if (size == keys.length) {
+        keys = java.util.Arrays.copyOf(keys, 2 * size)
+        verts = java.util.Arrays.copyOf(verts, 2 * size)
+      }
+      var k = size
+      size += 1
+      var moving = true
+      while (moving && k > 0) {
+        val parent = (k - 1) >>> 1
+        if (java.lang.Double.compare(key, keys(parent)) >= 0) moving = false
+        else { keys(k) = keys(parent); verts(k) = verts(parent); k = parent }
+      }
+      keys(k) = key; verts(k) = v
+    }
+
+    /** Removes the least entry and returns its vertex. */
+    def poll(): Int = {
+      val top = verts(0)
+      size -= 1
+      val n = size
+      if (n > 0) {
+        val key = keys(n); val v = verts(n)
+        val half = n >>> 1
+        var k = 0
+        var moving = true
+        while (moving && k < half) {
+          var child = 2 * k + 1
+          val right = child + 1
+          if (right < n && java.lang.Double.compare(keys(child), keys(right)) > 0) child = right
+          if (java.lang.Double.compare(key, keys(child)) <= 0) moving = false
+          else { keys(k) = keys(child); verts(k) = verts(child); k = child }
+        }
+        keys(k) = key; verts(k) = v
+      }
+      top
+    }
+  }
+
+  /** Best-first search from `src` over `n` vertices. The i-th arc out of
+    * vertex `u` is `arcs(u)(i)`; it leads to `heads(u)(i)` at cost
+    * `costs(u)(i)`. The queue key is the distance, plus the straight-line
+    * distance from `pos(v)` to `goal` when `goal` is given (A*; admissible
+    * on the node graph, where every segment's length is its chord). Stops
+    * once every vertex in `targets` has been popped; pops come in key order,
+    * so up to then the search is a prefix of the one without targets and
+    * each target's distance is the same. A vertex farther than `bound` is
+    * settled but not expanded, so a vertex one arc past the bound keeps its
+    * tentative distance and everything farther stays +inf.
     */
   private def search(
       n: Int,
       src: Int,
-      arcs: Int => Array[Int],
-      head: Int => Int,
-      cost: (Int, Int) => Double,
-      h: Int => Double = _ => 0.0,
-      target: Int = -1,
+      arcs: Array[Array[Int]],
+      heads: Array[Array[Int]],
+      costs: Array[Array[Double]],
+      targets: Array[Int],
       bound: Double = Inf,
+      pos: Array[XY] = null,
+      goal: XY = null,
   ): Search = {
     val s = new Search(n)
+    val wanted = new Array[Boolean](n)
+    var left = 0
+    targets.foreach(t => if (!wanted(t)) { wanted(t) = true; left += 1 })
     s.dist(src) = 0.0
-    val pq = new PriorityQueue[(Double, Int)](11,
-      (a: (Double, Int), b: (Double, Int)) => java.lang.Double.compare(a._1, b._1))
-    pq.add((h(src), src))
-    var reached = false
-    while (!reached && !pq.isEmpty) {
-      val u = pq.poll()._2
-      if (u == target) reached = true
-      else if (!s.closed(u)) {
-        s.closed(u) = true
-        val du = s.dist(u)
-        if (du <= bound) {
-          val out = arcs(u)
-          var i = 0
-          while (i < out.length) {
-            val a = out(i)
-            val v = head(a)
-            val nd = du + cost(u, a)
-            if (nd < s.dist(v)) {
-              s.dist(v) = nd; s.predVertex(v) = u; s.predArc(v) = a
-              pq.add((nd + h(v), v))
+    val heap = new Heap
+    heap.add(if (goal == null) 0.0 else pos(src).dist(goal), src)
+    var done = false
+    while (!done && !heap.isEmpty) {
+      val u = heap.poll()
+      if (!s.closed(u)) {
+        if (wanted(u)) { left -= 1; done = left == 0 }
+        if (!done) {
+          s.closed(u) = true
+          val du = s.dist(u)
+          if (du <= bound) {
+            val out = heads(u)
+            val cost = costs(u)
+            var i = 0
+            while (i < out.length) {
+              val v = out(i)
+              val nd = du + cost(i)
+              if (nd < s.dist(v)) {
+                s.dist(v) = nd; s.predVertex(v) = u; s.predArc(v) = arcs(u)(i)
+                heap.add(if (goal == null) nd else nd + pos(v).dist(goal), v)
+              }
+              i += 1
             }
-            i += 1
           }
         }
       }
@@ -78,44 +137,52 @@ object ShortestPath {
     s
   }
 
-  /** `search` on the node graph with segment lengths as costs. */
-  private def nodeSearch(net: RoadNetwork, src: Int, target: Int = -1, bound: Double = Inf): Search = {
-    // A* towards `target` with the planar straight-line heuristic
-    // (admissible: every segment's length is its chord).
-    val h: Int => Double =
-      if (target < 0) _ => 0.0 else { val goal = net.nodes(target); v => net.nodes(v).dist(goal) }
-    search(net.numNodes, src, net.outSegments(_), a => net.segments(a).to,
-      (_, a) => net.segments(a).lengthM, h, target, bound)
-  }
+  /** `search` on the node graph with segment lengths as costs, A* towards
+    * `goal` when it is given.
+    */
+  private def nodeSearch(net: RoadNetwork, src: Int, targets: Array[Int], bound: Double = Inf,
+      goal: XY = null): Search =
+    search(net.numNodes, src, net.outSegments, net.outHeads, net.outLengths, targets, bound,
+      net.nodes, goal)
 
   /** Node-level Dijkstra from `src`; nodes farther than `maxDist` are not
     * expanded, so their successors keep a tentative distance and nodes
     * beyond those keep +inf. O((m + n) log n).
     */
   def dijkstra(net: RoadNetwork, src: Int, maxDist: Double = Inf): Array[Double] =
-    nodeSearch(net, src, bound = maxDist).dist
+    nodeSearch(net, src, Array.emptyIntArray, maxDist).dist
+
+  /** `dijkstra(net, src, maxDist)` read at `targets` (in their order), from
+    * a search that stops once every target is settled: bit for bit the same
+    * values, exact, tentative or +inf.
+    */
+  def dijkstraTo(net: RoadNetwork, src: Int, maxDist: Double, targets: Array[Int]): Array[Double] = {
+    val dist = nodeSearch(net, src, targets, maxDist).dist
+    targets.map(dist(_))
+  }
 
   /** A* shortest path length from node `src` to node `dst`; +inf if
     * unreachable.
     */
-  def aStar(net: RoadNetwork, src: Int, dst: Int): Double = nodeSearch(net, src, dst).dist(dst)
+  def aStar(net: RoadNetwork, src: Int, dst: Int): Double =
+    nodeSearch(net, src, Array(dst), goal = net.nodes(dst)).dist(dst)
 
   /** Shortest node path from `src` to `dst` as the list of traversed
     * segment ids. None when unreachable.
     */
   def nodePathSegments(net: RoadNetwork, src: Int, dst: Int): Option[List[Int]] = {
-    val s = nodeSearch(net, src, dst)
+    val s = nodeSearch(net, src, Array(dst), goal = net.nodes(dst))
     if (s.dist(dst) < Inf) Some(s.arcsTo(src, dst)) else None
   }
 
   /** Least-cost route in the segment graph from segment `from` to segment
-    * `to` with per-transition cost `cost(curSeg, nextSeg)` (floored at
-    * 1e-9): the segments AFTER `from` up to and including `to`, empty if
-    * `from == to`. None when `to` is unreachable.
+    * `to`, where moving from `cur` to its successor `net.nextSegments(cur)(i)`
+    * costs `costs(cur)(i)` (non-negative): the segments AFTER `from` up to
+    * and including `to`, empty if `from == to`. None when `to` is
+    * unreachable.
     */
-  def segmentSearch(net: RoadNetwork, from: Int, to: Int, cost: (Int, Int) => Double): Option[List[Int]] = {
-    val s = search(net.numSegments, from, net.nextSegments, a => a,
-      (u, a) => math.max(1e-9, cost(u, a)), target = to)
+  def segmentSearch(net: RoadNetwork, from: Int, to: Int, costs: Array[Array[Double]]): Option[List[Int]] = {
+    val s = search(net.numSegments, from, net.successors, net.successors, costs, Array(to))
     if (s.dist(to) < Inf) Some(s.arcsTo(from, to)) else None
   }
 
@@ -123,7 +190,7 @@ object ShortestPath {
     * instance per evaluation task; NOT thread-safe.
     */
   final class DistCache(net: RoadNetwork) {
-    private val cache = mutable.HashMap.empty[Long, Double]
+    private val cache = mutable.LongMap.empty[Double]
     def nodeDist(a: Int, b: Int): Double =
       cache.getOrElseUpdate((a.toLong << 32) | (b.toLong & 0xffffffffL), aStar(net, a, b))
 

@@ -46,6 +46,8 @@ object HmmMatcher {
         -d * d / (2 * sigmaM * sigmaM) + emitBonus(i, sid)
       }
     }
+    val ratio = Array.tabulate(pts.length)(i =>
+      cands(i).map(sid => Geo.projectRatio(pts(i), net.segments(sid).a, net.segments(sid).b)))
     val score = Array.tabulate(pts.length)(i => new Array[Double](cands(i).length))
     val back = Array.tabulate(pts.length)(i => new Array[Int](cands(i).length))
     score(0) = emit(0).clone()
@@ -55,14 +57,13 @@ object HmmMatcher {
       var j = 0
       while (j < cands(i).length) {
         val sj = cands(i)(j)
-        val rj = Geo.projectRatio(pts(i), net.segments(sj).a, net.segments(sj).b)
+        val rj = ratio(i)(j)
         var best = Double.NegativeInfinity
         var bestK = 0
         var kk = 0
         while (kk < cands(i - 1).length) {
           val sk = cands(i - 1)(kk)
-          val rk = Geo.projectRatio(pts(i - 1), net.segments(sk).a, net.segments(sk).b)
-          val s = score(i - 1)(kk) - math.abs(cache.directedDist(sk, rk, sj, rj) - gc) / betaM
+          val s = score(i - 1)(kk) - math.abs(cache.directedDist(sk, ratio(i - 1)(kk), sj, rj) - gc) / betaM
           if (s > best) { best = s; bestK = kk }
           kk += 1
         }

@@ -1,6 +1,6 @@
 package repro
 
-import repro.geo.{LatLng, RoadNetwork, RoutePlanner}
+import repro.geo.{Geo, LatLng, RoadNetwork, RoutePlanner, Segment, XY}
 import repro.nn.{Node2Vec, Tensor}
 import repro.traj.{GenConfig, Traj, TrajGen}
 
@@ -21,4 +21,16 @@ object TestWorld {
   lazy val node2vec: Tensor = Node2Vec.train(net, dim = 32, epochs = 2, walksPerSeg = 4)
 
   lazy val planner: RoutePlanner = RoutePlanner.fit(net, trainSet.map(_.route.toSeq))
+
+  /** Three nodes in a row: 0 <-> 1 is a two-way road, 1 -> 2 is a one-way
+    * street into a dead end, so nothing is reachable from node 2 (or from
+    * segment 2).
+    */
+  def oneWayDeadEnd: RoadNetwork = {
+    val nodes = Array(XY(0, 0), XY(100, 0), XY(200, 0))
+    def seg(id: Int, from: Int, to: Int) =
+      Segment(id, from, to, nodes(from), nodes(to), nodes(from).dist(nodes(to)))
+    new RoadNetwork("one-way", Geo.Projection(LatLng(41.15, -8.6)), nodes,
+      Array(seg(0, 0, 1), seg(1, 1, 0), seg(2, 1, 2)))
+  }
 }

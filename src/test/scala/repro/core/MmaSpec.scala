@@ -37,7 +37,7 @@ class MmaSpec extends AnyFunSuite {
     assert(withTruth >= s.labels.length - 1)
   }
 
-  test("prepared features have 5 values per candidate, all in [-1,1]") {
+  test("prepared features have MmaModel.NumFeats values per candidate, all in [-1,1]") {
     val s = model.prepare(trainSet.head, withLabels = false)
     s.cands.indices.foreach { i =>
       assert(s.feats(i).length == s.cands(i).length * repro.core.MmaModel.NumFeats)

@@ -63,13 +63,7 @@ class RoutePlannerSpec extends AnyFunSuite {
   }
 
   test("plan jumps straight to an unreachable target") {
-    // 0 <-> 1 is a two-way road; 1 -> 2 is a one-way street into a dead end.
-    val nodes = Array(XY(0, 0), XY(100, 0), XY(200, 0))
-    def seg(id: Int, from: Int, to: Int) =
-      Segment(id, from, to, nodes(from), nodes(to), nodes(from).dist(nodes(to)))
-    val oneWay = new RoadNetwork("one-way", Geo.Projection(LatLng(41.15, -8.6)), nodes,
-      Array(seg(0, 0, 1), seg(1, 1, 0), seg(2, 1, 2)))
-    val p = RoutePlanner.shortestPathOnly(oneWay)
+    val p = RoutePlanner.shortestPathOnly(TestWorld.oneWayDeadEnd)
     assert(p.plan(0, 2) == List(2))
     assert(p.plan(2, 0) == List(0))
     assert(p.plan(2, 1) == List(1))

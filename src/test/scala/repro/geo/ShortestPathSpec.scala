@@ -1,6 +1,7 @@
 package repro.geo
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestWorld
 import scala.util.Random
 
 class ShortestPathSpec extends AnyFunSuite {
@@ -95,30 +96,88 @@ class ShortestPathSpec extends AnyFunSuite {
     }
   }
 
-  private def lengthCost(cur: Int, next: Int): Double = net.segments(next).lengthM
+  private val lengthCosts = Array.tabulate(net.numSegments)(u => net.nextSegments(u).map(net.segments(_).lengthM))
 
   test("segmentSearch connects adjacent segments directly") {
     val next = net.nextSegments(0)
     assume(next.nonEmpty)
-    val r = ShortestPath.segmentSearch(net, 0, next.head, lengthCost)
+    val r = ShortestPath.segmentSearch(net, 0, next.head, lengthCosts)
     assert(r.contains(List(next.head)))
   }
 
   test("segmentSearch from a segment to itself is empty") {
-    assert(ShortestPath.segmentSearch(net, 3, 3, lengthCost).contains(Nil))
+    assert(ShortestPath.segmentSearch(net, 3, 3, lengthCosts).contains(Nil))
   }
 
   test("segmentSearch forms a connected chain") {
     val rnd = new Random(13)
     (1 to 30).foreach { _ =>
       val a = rnd.nextInt(net.numSegments); val b = rnd.nextInt(net.numSegments)
-      ShortestPath.segmentSearch(net, a, b, lengthCost).foreach { path =>
+      ShortestPath.segmentSearch(net, a, b, lengthCosts).foreach { path =>
         val full = a :: path
         full.sliding(2).foreach {
           case List(x, y) => assert(net.nextSegments(x).contains(y), s"$x !-> $y")
           case _          => ()
         }
         if (a != b) assert(full.last == b)
+      }
+    }
+  }
+
+  test("dijkstraTo equals the full bounded dijkstra at every target, bit for bit") {
+    val rnd = new Random(23)
+    val seen = scala.collection.mutable.Set.empty[String]
+    (1 to 300).foreach { _ =>
+      val src = rnd.nextInt(net.numNodes)
+      val bound = 100 + 600 * rnd.nextDouble()
+      val drawn = Array.fill(1 + rnd.nextInt(5))(rnd.nextInt(net.numNodes))
+      // Duplicate targets, and sometimes the source itself.
+      val targets = drawn ++ drawn.take(1) ++ (if (rnd.nextInt(4) == 0) Array(src) else Array.empty[Int])
+      val full = ShortestPath.dijkstra(net, src, maxDist = bound)
+      val got = ShortestPath.dijkstraTo(net, src, bound, targets)
+      targets.indices.foreach { i =>
+        val v = targets(i)
+        assert(got(i) == full(v), s"src=$src v=$v bound=$bound")
+        seen += (if (v == src) "source" else if (full(v).isPosInfinity) "inf"
+                 else if (full(v) <= bound) "exact" else "tentative")
+      }
+    }
+    assert(seen == Set("source", "exact", "tentative", "inf"))
+  }
+
+  test("dijkstraTo leaves an unreachable target at +inf") {
+    val oneWay = TestWorld.oneWayDeadEnd
+    Seq(0, 1, 2).foreach { src =>
+      val targets = Array(2, 0, 1, 2)
+      val got = ShortestPath.dijkstraTo(oneWay, src, Double.PositiveInfinity, targets)
+      val full = ShortestPath.dijkstra(oneWay, src)
+      assert(got.toSeq == targets.toSeq.map(full(_)), s"src=$src")
+    }
+    assert(ShortestPath.dijkstraTo(oneWay, 2, Double.PositiveInfinity, Array(0, 1)).forall(_.isPosInfinity))
+  }
+
+  test("searches break ties exactly as the PriorityQueue search did") {
+    // No jitter: every block is 150 m, so many routes tie in length and the
+    // pop order of equal keys decides which one comes back.
+    val flat = RoadNetwork.generate(RoadNetwork.CityConfig("flat", LatLng(41.15, -8.6),
+      gridW = 8, gridH = 7, spacingM = 150, jitterFrac = 0.0, seed = 5))
+    val rnd = new Random(29)
+    val routes = Seq.fill(60)(ReferenceSearch.nodePathSegments(flat,
+      rnd.nextInt(flat.numNodes), rnd.nextInt(flat.numNodes)).get)
+    // The planners' costs as the reference computes them (fit's beta is 30).
+    val sp = RoutePlanner.shortestPathOnly(flat)
+    val fitted = RoutePlanner.fit(flat, routes)
+    val planners = Seq[(RoutePlanner, (Int, Int) => Double)](
+      sp -> ((c, n) => flat.segments(n).lengthM + 0.0 * sp.negLogProb(c, n)),
+      fitted -> ((c, n) => flat.segments(n).lengthM + 30.0 * fitted.negLogProb(c, n)))
+    (1 to 300).foreach { _ =>
+      val a = rnd.nextInt(flat.numNodes); val b = rnd.nextInt(flat.numNodes)
+      assert(ShortestPath.nodePathSegments(flat, a, b) == ReferenceSearch.nodePathSegments(flat, a, b), s"$a->$b")
+      val bound = 300 + 600 * rnd.nextDouble()
+      assert(ShortestPath.dijkstra(flat, a, bound).toSeq == ReferenceSearch.dijkstra(flat, a, bound).toSeq)
+      val sa = rnd.nextInt(flat.numSegments); val sb = rnd.nextInt(flat.numSegments)
+      planners.foreach { case (p, cost) =>
+        assert(p.plan(sa, sb) == ReferenceSearch.segmentSearch(flat, sa, sb, cost).getOrElse(List(sb)), s"$sa->$sb")
       }
     }
   }
