@@ -186,25 +186,42 @@ final class MmaModel(
     candMlp(Ops.concatCols(e, f))
   }
 
-  /** Per-candidate logits (before sigmoid) for point i (Eq. 7-9). */
-  def logitsFor(z2i: Tensor, c: Tensor)(implicit tp: Tape): Tensor = {
-    val p =
-      if (cfg.useContext) {
-        val zTiled = Ops.tileRows(z2i, c.rows)
-        val scores = attnMlp(Ops.concatCols(zTiled, c)) // kc x 1
-        val alpha = Ops.softmaxRows(Ops.transpose(scores)) // 1 x kc
-        Ops.add(z2i, Ops.matmul(alpha, c)) // Eq. 8
-      } else z2i
-    Ops.matmul(c, Ops.transpose(p)) // kc x 1 inner products
+  /** Candidate scoring (Eq. 7-9) for the points `z2` of one trajectory.
+    * attnMlp's first layer is split by input block [z2i; c_j]: the point
+    * block is applied to all points in one matmul, and each point's row is
+    * broadcast over its candidates instead of being tiled into the input.
+    */
+  final class Scorer(z2: Tensor)(implicit tp: Tape) {
+    private val w1 = attnMlp.l1.w
+    private lazy val zw = Ops.addRow(Ops.matmul(z2, Ops.sliceRows(w1, 0, z2.cols)), attnMlp.l1.b)
+    private lazy val wc = Ops.sliceRows(w1, z2.cols, w1.rows)
+
+    /** Per-candidate logits (before sigmoid) of point i with candidate
+      * embeddings `c`.
+      */
+    def logits(i: Int, c: Tensor): Tensor = {
+      val z2i = Ops.sliceRows(z2, i, i + 1)
+      val p =
+        if (cfg.useContext) {
+          val pre = Ops.addRow(Ops.matmul(c, wc), Ops.sliceRows(zw, i, i + 1))
+          val scores = attnMlp.l2(Ops.relu(pre)) // kc x 1
+          val alpha = Ops.softmaxRows(Ops.transpose(scores)) // 1 x kc
+          Ops.add(z2i, Ops.matmul(alpha, c)) // Eq. 8
+        } else z2i
+      Ops.matmul(c, Ops.transpose(p)) // kc x 1 inner products
+    }
   }
+
+  /** Per-candidate logits (before sigmoid) for one point (Eq. 7-9); equal,
+    * bit for bit, to its row's [[Scorer]] logits.
+    */
+  def logitsFor(z2i: Tensor, c: Tensor)(implicit tp: Tape): Tensor = new Scorer(z2i).logits(0, c)
 
   /** Training loss of one prepared trajectory (Eq. 10, mean over points). */
   def loss(s: MmaSample)(implicit tp: Tape): Tensor = {
-    val z2 = encodePoints(s)
+    val scorer = new Scorer(encodePoints(s))
     val perPoint = s.cands.indices.map { i =>
-      val c = candEmbed(s, i)
-      val logits = logitsFor(Ops.sliceRows(z2, i, i + 1), c)
-      Ops.bceLogitsSum(logits, s.labels(i))
+      Ops.bceLogitsSum(scorer.logits(i, candEmbed(s, i)), s.labels(i))
     }
     Ops.scale(perPoint.reduceLeft(Ops.add(_, _)), 1.0 / s.cands.length)
   }
@@ -213,10 +230,9 @@ final class MmaModel(
   def predictSegments(t: Traj): Array[Int] = {
     implicit val tp: Tape = NoTape
     val s = prepare(t, withLabels = false)
-    val z2 = encodePoints(s)
+    val scorer = new Scorer(encodePoints(s))
     s.cands.indices.map { i =>
-      val c = candEmbed(s, i)
-      val logits = logitsFor(Ops.sliceRows(z2, i, i + 1), c)
+      val logits = scorer.logits(i, candEmbed(s, i))
       var best = 0
       var bv = Double.NegativeInfinity
       var j = 0

@@ -18,6 +18,14 @@ final class Trmma(
 ) extends Recoverer {
 
   def recover(t: Traj): Recovered = {
+    val (sample, times) = prepare(t)
+    Recovered(t.id, model.decode(sample, times))
+  }
+
+  /** The decoder's input for `t` (matched, projected, on the ε-slot
+    * timeline) and the slot timestamps.
+    */
+  def prepare(t: Traj): (TrmmaSample, Array[Double]) = {
     val mr = matcher.matchTraj(t)
     val segs = mr.perPoint
     val tl = Recoverer.slotTimeline(t, epsilon)
@@ -29,7 +37,6 @@ final class Trmma(
       val i = tl.anchor(j)
       if (observed(j)) model.projRatio(XY(t.sparse(i).x, t.sparse(i).y), segs(i)) else 0.0
     }
-    val sample = model.prepare(t, segs, mr.routeOrFallback, slotSeg, slotR, observed)
-    Recovered(t.id, model.decode(sample, tl.times))
+    (model.prepare(t, segs, mr.routeOrFallback, slotSeg, slotR, observed), tl.times)
   }
 }

@@ -149,7 +149,7 @@ final class TrmmaModel(
   /** Decoder GRU input: previous point (segment id + ratio), the normalised
     * slot time, and the slot's gap-anchor features.
     */
-  private def gruInput(seg: Int, r: Double, tNorm: Double, slotFeat: Array[Double])(implicit tp: Tape): Tensor =
+  private[core] def gruInput(seg: Int, r: Double, tNorm: Double, slotFeat: Array[Double])(implicit tp: Tape): Tensor =
     Ops.concatCols(segEmbT(Array(seg)),
       new Tensor(1, 6, Array(r, tNorm, slotFeat(0), slotFeat(1), slotFeat(2), slotFeat(3))))
 
@@ -174,30 +174,55 @@ final class TrmmaModel(
     }
   }
 
-  /** Per-route-segment logits w_{k,j} given hidden state h (Eq. 15). */
-  def classLogits(h: Tensor, hEnc: Tensor, geo: Tensor)(implicit tp: Tape): Tensor = {
-    val full = Ops.concatCols(Ops.concatCols(hEnc, Ops.tileRows(h, hEnc.rows)), geo)
-    // Residual split: a small head over the geometry alone learns the
-    // interpolation prior in a few steps; the full head learns corrections
-    // (per-segment speeds etc.) on top.
-    Ops.add(clsMlp(full), clsGeo(geo))
-  }
-
-  /** Predicted ratio (Eq. 18) from hidden state, logits and the (teacher-
-    * forced or argmax) candidate position's encoder row and features.
+  /** The decoder heads (Eq. 15 and 18) over the encoding `hEnc` of one
+    * trajectory. Each head's first layer is split by input block: the
+    * blocks that read H (`H[k]` in `clsMlp`; `ψH` and `H[k]` in `ratioMlp`,
+    * with ctx·W = ψ·(H·W)) are applied to all of H here, once; a slot then
+    * pays for one `h` block and its window's geometry. All blocks are
+    * differentiable ops on the weights, so `loss` and `decode` share them.
     */
-  def ratioHead(h: Tensor, hEnc: Tensor, w: Tensor, kPos: Int, geo: Tensor)(implicit tp: Tape): Tensor = {
-    val psi = Ops.softmaxRows(Ops.transpose(w)) // 1 x lR
-    val ctx = Ops.matmul(psi, hEnc)
-    val hk = Ops.sliceRows(hEnc, kPos, kPos + 1)
-    val fk = Ops.sliceRows(geo, kPos, kPos + 1)
-    val full = ratioMlp(Ops.concatCols(Ops.concatCols(Ops.concatCols(h, ctx), hk), fk))
-    Ops.sigmoid(Ops.add(full, ratioGeo(fk)))
+  final class Heads(hEnc: Tensor)(implicit tp: Tape) {
+    private val dh = hEnc.cols
+    private val c1 = clsMlp.l1.w   // rows: [H[k]; h; geo]
+    private val r1 = ratioMlp.l1.w // rows: [h; ctx; H[k]; geo[k]]
+    private val clsH = Ops.matmul(hEnc, Ops.sliceRows(c1, 0, dh))
+    private val clsWh = Ops.sliceRows(c1, dh, 2 * dh)
+    private val clsWgeo = Ops.sliceRows(c1, 2 * dh, c1.rows)
+    private val ratioWh = Ops.sliceRows(r1, 0, dh)
+    private val ratioCtx = Ops.matmul(hEnc, Ops.sliceRows(r1, dh, 2 * dh))
+    private val ratioK = Ops.matmul(hEnc, Ops.sliceRows(r1, 2 * dh, 3 * dh))
+    private val ratioWgeo = Ops.sliceRows(r1, 3 * dh, r1.rows)
+
+    /** Logits w_{k,j} of route positions `lo..hi` given hidden state h
+      * (Eq. 15); `geo` holds the window's [[geoFeats]] rows.
+      */
+    def classLogits(h: Tensor, lo: Int, hi: Int, geo: Tensor): Tensor = {
+      val pre = Ops.addRow(Ops.add(Ops.sliceRows(clsH, lo, hi + 1), Ops.matmul(geo, clsWgeo)),
+        Ops.add(Ops.matmul(h, clsWh), clsMlp.l1.b))
+      // Residual split: a small head over the geometry alone learns the
+      // interpolation prior in a few steps; the full head learns corrections
+      // (per-segment speeds etc.) on top.
+      Ops.add(clsMlp.l2(Ops.relu(pre)), clsGeo(geo))
+    }
+
+    /** Predicted ratio (Eq. 18) from hidden state, the window's logits `w`
+      * and the (teacher-forced or argmax) candidate at window row `kPos`.
+      */
+    def ratioHead(h: Tensor, lo: Int, hi: Int, w: Tensor, kPos: Int, geo: Tensor): Tensor = {
+      val psi = Ops.softmaxRows(Ops.transpose(w)) // 1 x |window|
+      val ctx = Ops.matmul(psi, Ops.sliceRows(ratioCtx, lo, hi + 1))
+      val hk = Ops.sliceRows(ratioK, lo + kPos, lo + kPos + 1)
+      val fk = Ops.sliceRows(geo, kPos, kPos + 1)
+      val pre = Ops.add(Ops.add(Ops.add(Ops.matmul(h, ratioWh), ctx), hk),
+        Ops.add(Ops.matmul(fk, ratioWgeo), ratioMlp.l1.b))
+      Ops.sigmoid(Ops.add(ratioMlp.l2(Ops.relu(pre)), ratioGeo(fk)))
+    }
   }
 
   /** Teacher-forced training loss over the dense timeline (Eq. 19-21). */
   def loss(s: TrmmaSample)(implicit tp: Tape): Tensor = {
     val hEnc = encode(s)
+    val heads = new Heads(hEnc)
     var h = Ops.meanRows(hEnc)
     var lossAcc: Tensor = null
     var nMissing = 0
@@ -213,13 +238,13 @@ final class TrmmaModel(
         // right anchor is as observable as Eq. 17's left one; DESIGN §3).
         // This is also what makes decoding cost |window|, not |route|.
         val lo = s.slotLo(j); val hi = s.slotHi(j)
-        val hWin = Ops.sliceRows(hEnc, lo, hi + 1)
         val geo = Tensor.fromRows(geoFeats(s, j, lo, hi).toIndexedSeq)
-        val wWin = classLogits(h, hWin, geo)
+        val wWin = heads.classLogits(h, lo, hi, geo)
+        val kTrue = math.min(hi, math.max(lo, s.densePos(j))) - lo
         val labels = new Array[Double](hi + 1 - lo)
-        labels(math.min(hi, math.max(lo, s.densePos(j))) - lo) = 1.0
+        labels(kTrue) = 1.0
         val lSeg = Ops.bceLogitsSum(wWin, labels)
-        val r = ratioHead(h, hWin, wWin, math.min(hi, math.max(lo, s.densePos(j))) - lo, geo)
+        val r = heads.ratioHead(h, lo, hi, wWin, kTrue, geo)
         val lR = Ops.maeSum(r, Array(s.denseR(j)))
         val l = Ops.add(lSeg, Ops.scale(lR, cfg.lambda))
         lossAcc = if (lossAcc == null) l else Ops.add(lossAcc, l)
@@ -238,6 +263,7 @@ final class TrmmaModel(
   def decode(s: TrmmaSample, denseT: Array[Double]): Array[MatchedPoint] = {
     implicit val tp: Tape = NoTape
     val hEnc = encode(s)
+    val heads = new Heads(hEnc)
     var h = Ops.meanRows(hEnc)
     val L = denseT.length
     val out = new Array[MatchedPoint](L)
@@ -257,9 +283,8 @@ final class TrmmaModel(
         out(j) = MatchedPoint(prevSeg, prevR, denseT(j))
       } else {
         val lo = s.slotLo(j); val hi = math.max(s.slotLo(j), s.slotHi(j))
-        val hWin = Ops.sliceRows(hEnc, lo, hi + 1)
         val geo = Tensor.fromRows(geoFeats(s, j, lo, hi).toIndexedSeq)
-        val w = classLogits(h, hWin, geo)
+        val w = heads.classLogits(h, lo, hi, geo)
         // Order constraint (Eq. 17) extended with the gap's right anchor:
         // candidates from max(prev position, left anchor) to right anchor.
         val kFrom = math.max(prevPos, lo)
@@ -270,7 +295,7 @@ final class TrmmaModel(
           if (w(k - lo, 0) > bv) { bv = w(k - lo, 0); best = k }
           k += 1
         }
-        val r = ratioHead(h, hWin, w, best - lo, geo).data(0)
+        val r = heads.ratioHead(h, lo, hi, w, best - lo, geo).data(0)
         prevSeg = s.route(best); prevR = math.min(0.999999, r); prevPos = best
         out(j) = MatchedPoint(prevSeg, prevR, denseT(j))
       }

@@ -62,7 +62,11 @@ object Ops {
   }
 
   def transpose(a: Tensor)(implicit tp: Tape): Tensor = {
-    val y = Tensor(a.cols, a.rows)((i, j) => a(j, i))
+    val m = a.rows; val n = a.cols
+    val out = new Array[Double](m * n)
+    var r = 0
+    while (r < m) { var c = 0; while (c < n) { out(c * m + r) = a.data(r * n + c); c += 1 }; r += 1 }
+    val y = new Tensor(n, m, out)
     if (tp.active) tp.record { () =>
       val dy = tp.grad(y); val da = tp.grad(a)
       var i = 0
@@ -73,7 +77,9 @@ object Ops {
 
   def add(a: Tensor, b: Tensor)(implicit tp: Tape): Tensor = {
     require(a.rows == b.rows && a.cols == b.cols, s"add $a + $b")
-    val y = new Tensor(a.rows, a.cols, Array.tabulate(a.size)(i => a.data(i) + b.data(i)))
+    val out = new Array[Double](a.size)
+    var k = 0; while (k < out.length) { out(k) = a.data(k) + b.data(k); k += 1 }
+    val y = new Tensor(a.rows, a.cols, out)
     if (tp.active) tp.record { () =>
       val dy = tp.grad(y); val da = tp.grad(a); val db = tp.grad(b)
       var i = 0; while (i < y.size) { da(i) += dy(i); db(i) += dy(i); i += 1 }
@@ -85,7 +91,10 @@ object Ops {
   def addRow(a: Tensor, b: Tensor)(implicit tp: Tape): Tensor = {
     require(b.rows == 1 && a.cols == b.cols, s"addRow $a + $b")
     val n = a.cols
-    val y = Tensor(a.rows, n)((i, j) => a(i, j) + b.data(j))
+    val out = new Array[Double](a.size)
+    var r = 0
+    while (r < a.rows) { var c = 0; while (c < n) { val k = r * n + c; out(k) = a.data(k) + b.data(c); c += 1 }; r += 1 }
+    val y = new Tensor(a.rows, n, out)
     if (tp.active) tp.record { () =>
       val dy = tp.grad(y); val da = tp.grad(a); val db = tp.grad(b)
       var i = 0
@@ -98,7 +107,10 @@ object Ops {
   def mulRow(a: Tensor, b: Tensor)(implicit tp: Tape): Tensor = {
     require(b.rows == 1 && a.cols == b.cols, s"mulRow $a * $b")
     val n = a.cols
-    val y = Tensor(a.rows, n)((i, j) => a(i, j) * b.data(j))
+    val out = new Array[Double](a.size)
+    var r = 0
+    while (r < a.rows) { var c = 0; while (c < n) { val k = r * n + c; out(k) = a.data(k) * b.data(c); c += 1 }; r += 1 }
+    val y = new Tensor(a.rows, n, out)
     if (tp.active) tp.record { () =>
       val dy = tp.grad(y); val da = tp.grad(a); val db = tp.grad(b)
       var i = 0
@@ -118,7 +130,9 @@ object Ops {
 
   def mulElem(a: Tensor, b: Tensor)(implicit tp: Tape): Tensor = {
     require(a.rows == b.rows && a.cols == b.cols, s"mulElem $a * $b")
-    val y = new Tensor(a.rows, a.cols, Array.tabulate(a.size)(i => a.data(i) * b.data(i)))
+    val out = new Array[Double](a.size)
+    var k = 0; while (k < out.length) { out(k) = a.data(k) * b.data(k); k += 1 }
+    val y = new Tensor(a.rows, a.cols, out)
     if (tp.active) tp.record { () =>
       val dy = tp.grad(y); val da = tp.grad(a); val db = tp.grad(b)
       var i = 0; while (i < y.size) { da(i) += dy(i) * b.data(i); db(i) += dy(i) * a.data(i); i += 1 }
@@ -127,7 +141,9 @@ object Ops {
   }
 
   def scale(a: Tensor, c: Double)(implicit tp: Tape): Tensor = {
-    val y = new Tensor(a.rows, a.cols, a.data.map(_ * c))
+    val out = new Array[Double](a.size)
+    var k = 0; while (k < out.length) { out(k) = a.data(k) * c; k += 1 }
+    val y = new Tensor(a.rows, a.cols, out)
     if (tp.active) tp.record { () =>
       val dy = tp.grad(y); val da = tp.grad(a)
       var i = 0; while (i < y.size) { da(i) += dy(i) * c; i += 1 }
@@ -136,7 +152,9 @@ object Ops {
   }
 
   def relu(a: Tensor)(implicit tp: Tape): Tensor = {
-    val y = new Tensor(a.rows, a.cols, a.data.map(v => if (v > 0) v else 0.0))
+    val out = new Array[Double](a.size)
+    var k = 0; while (k < out.length) { val v = a.data(k); out(k) = if (v > 0) v else 0.0; k += 1 }
+    val y = new Tensor(a.rows, a.cols, out)
     if (tp.active) tp.record { () =>
       val dy = tp.grad(y); val da = tp.grad(a)
       var i = 0; while (i < y.size) { if (a.data(i) > 0) da(i) += dy(i); i += 1 }
@@ -145,7 +163,9 @@ object Ops {
   }
 
   def sigmoid(a: Tensor)(implicit tp: Tape): Tensor = {
-    val y = new Tensor(a.rows, a.cols, a.data.map(v => 1.0 / (1.0 + math.exp(-v))))
+    val out = new Array[Double](a.size)
+    var k = 0; while (k < out.length) { out(k) = 1.0 / (1.0 + math.exp(-a.data(k))); k += 1 }
+    val y = new Tensor(a.rows, a.cols, out)
     if (tp.active) tp.record { () =>
       val dy = tp.grad(y); val da = tp.grad(a)
       var i = 0; while (i < y.size) { val s = y.data(i); da(i) += dy(i) * s * (1 - s); i += 1 }
@@ -154,7 +174,9 @@ object Ops {
   }
 
   def tanh(a: Tensor)(implicit tp: Tape): Tensor = {
-    val y = new Tensor(a.rows, a.cols, a.data.map(math.tanh))
+    val out = new Array[Double](a.size)
+    var k = 0; while (k < out.length) { out(k) = math.tanh(a.data(k)); k += 1 }
+    val y = new Tensor(a.rows, a.cols, out)
     if (tp.active) tp.record { () =>
       val dy = tp.grad(y); val da = tp.grad(a)
       var i = 0; while (i < y.size) { val t = y.data(i); da(i) += dy(i) * (1 - t * t); i += 1 }
@@ -214,7 +236,14 @@ object Ops {
       while (j < n) { xhat(i * n + j) = (x(i, j) - mu) * is; j += 1 }
       i += 1
     }
-    val y = Tensor(x.rows, n)((i2, j2) => xhat(i2 * n + j2) * gain.data(j2) + bias.data(j2))
+    val out = new Array[Double](x.size)
+    i = 0
+    while (i < x.rows) {
+      var j = 0
+      while (j < n) { val k = i * n + j; out(k) = xhat(k) * gain.data(j) + bias.data(j); j += 1 }
+      i += 1
+    }
+    val y = new Tensor(x.rows, n, out)
     if (tp.active) tp.record { () =>
       val dy = tp.grad(y); val dx = tp.grad(x); val dg = tp.grad(gain); val db = tp.grad(bias)
       var i3 = 0
@@ -246,7 +275,14 @@ object Ops {
   def concatCols(a: Tensor, b: Tensor)(implicit tp: Tape): Tensor = {
     require(a.rows == b.rows, s"concatCols $a ++ $b")
     val n = a.cols + b.cols
-    val y = Tensor(a.rows, n)((i, j) => if (j < a.cols) a(i, j) else b(i, j - a.cols))
+    val out = new Array[Double](a.rows * n)
+    var r = 0
+    while (r < a.rows) {
+      System.arraycopy(a.data, r * a.cols, out, r * n, a.cols)
+      System.arraycopy(b.data, r * b.cols, out, r * n + a.cols, b.cols)
+      r += 1
+    }
+    val y = new Tensor(a.rows, n, out)
     if (tp.active) tp.record { () =>
       val dy = tp.grad(y); val da = tp.grad(a); val db = tp.grad(b)
       var i = 0
@@ -284,7 +320,9 @@ object Ops {
 
   def sliceCols(a: Tensor, from: Int, until: Int)(implicit tp: Tape): Tensor = {
     val w = until - from
-    val y = Tensor(a.rows, w)((i, j) => a(i, from + j))
+    val out = new Array[Double](a.rows * w)
+    var r = 0; while (r < a.rows) { System.arraycopy(a.data, r * a.cols + from, out, r * w, w); r += 1 }
+    val y = new Tensor(a.rows, w, out)
     if (tp.active) tp.record { () =>
       val dy = tp.grad(y); val da = tp.grad(a)
       var i = 0
@@ -295,7 +333,9 @@ object Ops {
 
   def sliceRows(a: Tensor, from: Int, until: Int)(implicit tp: Tape): Tensor = {
     val h = until - from
-    val y = Tensor(h, a.cols)((i, j) => a(from + i, j))
+    val out = new Array[Double](h * a.cols)
+    System.arraycopy(a.data, from * a.cols, out, 0, out.length)
+    val y = new Tensor(h, a.cols, out)
     if (tp.active) tp.record { () =>
       val dy = tp.grad(y); val da = tp.grad(a)
       var i = 0; while (i < y.size) { da(from * a.cols + i) += dy(i); i += 1 }
@@ -306,7 +346,9 @@ object Ops {
   /** Gather rows `idx` of an embedding matrix; backward scatter-adds. */
   def rows(emb: Tensor, idx: Array[Int])(implicit tp: Tape): Tensor = {
     val n = emb.cols
-    val y = Tensor(idx.length, n)((i, j) => emb(idx(i), j))
+    val out = new Array[Double](idx.length * n)
+    var r = 0; while (r < idx.length) { System.arraycopy(emb.data, idx(r) * n, out, r * n, n); r += 1 }
+    val y = new Tensor(idx.length, n, out)
     if (tp.active) tp.record { () =>
       val dy = tp.grad(y); val de = tp.grad(emb)
       var i = 0
@@ -346,7 +388,9 @@ object Ops {
   def tileRows(row: Tensor, m: Int)(implicit tp: Tape): Tensor = {
     require(row.rows == 1, s"tileRows needs a row vector, got $row")
     val n = row.cols
-    val y = Tensor(m, n)((_, j) => row.data(j))
+    val out = new Array[Double](m * n)
+    var r = 0; while (r < m) { System.arraycopy(row.data, 0, out, r * n, n); r += 1 }
+    val y = new Tensor(m, n, out)
     if (tp.active) tp.record { () =>
       val dy = tp.grad(y); val dr = tp.grad(row)
       var i = 0

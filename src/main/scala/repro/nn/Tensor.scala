@@ -38,11 +38,40 @@ object Tensor {
     val lim = math.sqrt(6.0 / (rows + cols))
     Tensor(rows, cols)((_, _) => (rnd.nextDouble() * 2 - 1) * lim)
   }
-  /** Sinusoidal positional encodings (len x d), a constant (no gradient). */
-  def positional(len: Int, d: Int): Tensor = Tensor(len, d) { (pos, j) =>
-    val exp = (j / 2) * 2.0 / d
-    val angle = pos / math.pow(10000.0, exp)
-    if (j % 2 == 0) math.sin(angle) else math.cos(angle)
+  /** Sinusoidal positional encodings (len x d), a constant (no gradient).
+    * Rows are computed once per width and copied out of [[posTables]].
+    */
+  def positional(len: Int, d: Int): Tensor = {
+    var table = posTables.getOrElse(d, null)
+    if (table == null || table.length < len * d) table = growPositional(len, d)
+    val out = new Array[Double](len * d)
+    System.arraycopy(table, 0, out, 0, out.length)
+    new Tensor(len, d, out)
+  }
+
+  /** Row-major positional rows per width. Each table is immutable once
+    * published; growing one replaces it whole, so the `Trainer` pool's
+    * concurrent readers never see a partly written table.
+    */
+  @volatile private var posTables = Map.empty[Int, Array[Double]]
+
+  private def growPositional(len: Int, d: Int): Array[Double] = synchronized {
+    val cur = posTables.getOrElse(d, Array.emptyDoubleArray)
+    if (cur.length >= len * d) cur
+    else {
+      val rows = math.max(len, 2 * cur.length / d)
+      val table = java.util.Arrays.copyOf(cur, rows * d)
+      var k = cur.length
+      while (k < table.length) {
+        val pos = k / d; val j = k % d
+        val exp = (j / 2) * 2.0 / d
+        val angle = pos / math.pow(10000.0, exp)
+        table(k) = if (j % 2 == 0) math.sin(angle) else math.cos(angle)
+        k += 1
+      }
+      posTables = posTables.updated(d, table)
+      table
+    }
   }
 }
 

@@ -1,0 +1,106 @@
+package repro.nn
+
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalatest.funsuite.AnyFunSuite
+
+/** Every loop-built `Ops` kernel equals its closure-built definition in
+  * [[ReferenceOps]] bit for bit (`±0.0` told apart), on random shapes
+  * (empty ones included) and values that mix ordinary numbers with signed
+  * zeros, infinities, NaN, subnormals and saturating magnitudes.
+  */
+class OpsKernelSpec extends AnyFunSuite {
+  private implicit val tp: Tape = NoTape
+
+  private val value: Gen[Double] = Gen.frequency(
+    12 -> Gen.choose(-3.0, 3.0),
+    2 -> Gen.oneOf(0.0, -0.0),
+    1 -> Gen.oneOf(Double.PositiveInfinity, Double.NegativeInfinity, Double.NaN,
+      Double.MinPositiveValue, -1e300, 1e300, 40.0, -40.0))
+  private def tensor(r: Int, c: Int): Gen[Tensor] =
+    Gen.listOfN(r * c, value).map(v => new Tensor(r, c, v.toArray))
+  private val dim = Gen.choose(0, 6)
+  private val one = for (r <- dim; c <- dim; a <- tensor(r, c)) yield a
+  private val two = for (r <- dim; c <- dim; a <- tensor(r, c); b <- tensor(r, c)) yield (a, b)
+  private val withRow = for (r <- dim; c <- dim; a <- tensor(r, c); b <- tensor(1, c)) yield (a, b)
+
+  private def sameBits(a: Tensor, b: Tensor): Boolean =
+    a.rows == b.rows && a.cols == b.cols && a.data.indices.forall { i =>
+      java.lang.Double.doubleToLongBits(a.data(i)) == java.lang.Double.doubleToLongBits(b.data(i))
+    }
+
+  private def check(name: String)(prop: Prop): Unit = {
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(300).withInitialSeed(20L), prop)
+    assert(res.passed, s"$name: ${res.status}")
+  }
+
+  test("element-wise kernels equal their closure-built definitions bit for bit") {
+    check("add")(Prop.forAllNoShrink(two) { case (a, b) => sameBits(Ops.add(a, b), ReferenceOps.add(a, b)) })
+    check("mulElem")(Prop.forAllNoShrink(two) { case (a, b) =>
+      sameBits(Ops.mulElem(a, b), ReferenceOps.mulElem(a, b))
+    })
+    check("scale")(Prop.forAllNoShrink(one, value) { (a, c) => sameBits(Ops.scale(a, c), ReferenceOps.scale(a, c)) })
+    check("relu")(Prop.forAllNoShrink(one)(a => sameBits(Ops.relu(a), ReferenceOps.relu(a))))
+    check("sigmoid")(Prop.forAllNoShrink(one)(a => sameBits(Ops.sigmoid(a), ReferenceOps.sigmoid(a))))
+    check("tanh")(Prop.forAllNoShrink(one)(a => sameBits(Ops.tanh(a), ReferenceOps.tanh(a))))
+  }
+
+  test("broadcast kernels equal their closure-built definitions bit for bit") {
+    check("addRow")(Prop.forAllNoShrink(withRow) { case (a, b) =>
+      sameBits(Ops.addRow(a, b), ReferenceOps.addRow(a, b))
+    })
+    check("mulRow")(Prop.forAllNoShrink(withRow) { case (a, b) =>
+      sameBits(Ops.mulRow(a, b), ReferenceOps.mulRow(a, b))
+    })
+    check("tileRows")(Prop.forAllNoShrink(withRow, dim) { case ((_, row), m) =>
+      sameBits(Ops.tileRows(row, m), ReferenceOps.tileRows(row, m))
+    })
+    val norm = for ((x, gain) <- withRow; bias <- tensor(1, gain.cols)) yield (x, gain, bias)
+    check("layerNorm")(Prop.forAllNoShrink(norm) { case (x, gain, bias) =>
+      sameBits(Ops.layerNorm(x, gain, bias), ReferenceOps.layerNorm(x, gain, bias))
+    })
+  }
+
+  test("layout kernels equal their closure-built definitions bit for bit") {
+    check("transpose")(Prop.forAllNoShrink(one)(a => sameBits(Ops.transpose(a), ReferenceOps.transpose(a))))
+    val pair = for (r <- dim; c1 <- dim; c2 <- dim; a <- tensor(r, c1); b <- tensor(r, c2)) yield (a, b)
+    check("concatCols")(Prop.forAllNoShrink(pair) { case (a, b) =>
+      sameBits(Ops.concatCols(a, b), ReferenceOps.concatCols(a, b))
+    })
+    def range(n: Int) = for (from <- Gen.choose(0, n); until <- Gen.choose(from, n)) yield (from, until)
+    check("sliceCols")(Prop.forAllNoShrink(one.flatMap(a => range(a.cols).map(a -> _))) {
+      case (a, (from, until)) => sameBits(Ops.sliceCols(a, from, until), ReferenceOps.sliceCols(a, from, until))
+    })
+    check("sliceRows")(Prop.forAllNoShrink(one.flatMap(a => range(a.rows).map(a -> _))) {
+      case (a, (from, until)) => sameBits(Ops.sliceRows(a, from, until), ReferenceOps.sliceRows(a, from, until))
+    })
+    val gather = for {
+      r <- Gen.choose(1, 6); c <- dim; emb <- tensor(r, c)
+      idx <- Gen.choose(0, 8).flatMap(Gen.listOfN(_, Gen.choose(0, r - 1)))
+    } yield (emb, idx.toArray)
+    check("rows")(Prop.forAllNoShrink(gather) { case (emb, idx) =>
+      sameBits(Ops.rows(emb, idx), ReferenceOps.rows(emb, idx))
+    })
+  }
+
+  test("positional encodings equal the per-call formula bit for bit, in any order of growth") {
+    val query = for (len <- Gen.choose(0, 70); d <- Gen.choose(1, 12)) yield (len, d)
+    check("positional")(Prop.forAllNoShrink(Gen.listOfN(20, query)) { qs =>
+      qs.forall { case (len, d) => sameBits(Tensor.positional(len, d), ReferenceOps.positional(len, d)) }
+    })
+  }
+
+  test("positional tables grown by concurrent callers stay exact") {
+    // Widths no other test uses, so every table starts empty and grows here.
+    val widths = 101 to 104
+    val threads = (0 until 4).map { k =>
+      new Thread(() => (1 to 60).foreach { len =>
+        val d = widths((len + k) % widths.size)
+        assert(sameBits(Tensor.positional(len * (k + 1), d), ReferenceOps.positional(len * (k + 1), d)))
+      })
+    }
+    val failures = new java.util.concurrent.ConcurrentLinkedQueue[Throwable]()
+    threads.foreach { t => t.setUncaughtExceptionHandler((_, e) => failures.add(e)); t.start() }
+    threads.foreach(_.join())
+    assert(failures.isEmpty, failures.toString)
+  }
+}
