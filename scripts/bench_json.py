@@ -18,9 +18,12 @@ sides' untraced runs by seed. For every end-to-end metric of BENCHMARK.json
 it reports each side's median and quartiles
 (statistics.quantiles(values, n=4), as perfbench/steadiness.py), the
 median's change in percent, and how many pairs the change won. It also
-says whether each method's `digest` line was equal on every pair. Traced
-logs, which may come from one workload only, give per-seed per-layer
-values. Which side ran first is read from the logs' modification times.
+says whether each method's `digest` line, and the `trained parameters`
+digest of the set-up, was equal on every pair. Traced logs, which may come
+from one workload only, give per-seed per-layer values and, with two or
+more seeds, each side's spread per layer (interquartile range over median,
+as steadiness.py computes it for end-to-end metrics). Which side ran first
+is read from the logs' modification times.
 """
 
 import argparse
@@ -49,13 +52,16 @@ def parse_log(path):
     result = next((json.loads(l) for l in reversed(lines) if l.startswith("{")), None)
     if result is None:
         raise SystemExit(f"{path}: no result line")
-    env, digests = {}, {}
+    env, digests, params = {}, {}, None
     for line in lines:
         if line.startswith("[perfbench] env "):
             env = json.loads(line[len("[perfbench] env "):])
         elif line.startswith("[perfbench] digest "):
             digests = dict(kv.split("=", 1) for kv in line.split()[2:])
-    return {"result": result, "env": env, "digests": digests, "mtime": os.path.getmtime(path)}
+        elif line.startswith("[perfbench] setup ") and "; trained parameters " in line:
+            params = line.split("; trained parameters ", 1)[1].strip()
+    return {"result": result, "env": env, "digests": digests, "params": params,
+            "mtime": os.path.getmtime(path)}
 
 
 def seed_list(text):
@@ -84,6 +90,14 @@ def stats(values):
     return {"median": round(med, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
+def spread(values):
+    """Interquartile range over median, None below two values or at median 0."""
+    if len(values) < 2:
+        return None
+    q1, med, q3 = statistics.quantiles(values, n=4)
+    return round((q3 - q1) / abs(med), 4) if med else None
+
+
 def order_note(pairs):
     """Which side ran first on each seed, from the logs' modification times."""
     first = {seed: "parent" if p["parent"]["mtime"] < p["change"]["mtime"] else "change"
@@ -101,11 +115,14 @@ def workload_record(pairs, end_to_end):
     methods = sorted(set().union(*(p[side]["digests"] for p in pairs.values() for side in SIDES)))
     digests = {m: all(pairs[s]["parent"]["digests"].get(m) == pairs[s]["change"]["digests"].get(m)
                       for s in seeds) for m in methods}
+    params = all(pairs[s]["parent"]["params"] is not None and
+                 pairs[s]["parent"]["params"] == pairs[s]["change"]["params"] for s in seeds)
     record = {
         "seeds": seeds,
         "pairs": len(seeds),
         "order": order_note(pairs),
-        "outputs_identical": all(digests.values()),
+        "outputs_identical": all(digests.values()) and params,
+        "trained_parameters_identical": params,
         "digests_identical": digests,
         "failed": sum(r["result"]["failed"] for r in runs),
         "metrics": {},
@@ -172,6 +189,8 @@ def write(args):
     if len(traced) > 1:
         raise SystemExit(f"traced logs from more than one workload: {sorted(traced)}")
     for workload, pairs in traced.items():
+        layers = [m for m in bench["per_layer"]
+                  if all(m["name"] in p[side]["result"]["metrics"] for p in pairs.values() for side in SIDES)]
         out["per_layer"] = {
             "command": COMMAND.format(workload=workload, seed="<seed>",
                                       seconds=int(seconds) if seconds else "<seconds>", trace=1),
@@ -186,12 +205,19 @@ def write(args):
                 }
                 for s in sorted(pairs)
             },
+            "spread_note": "per side, (q3 - q1) / median over the traced seeds; null below two seeds",
+            "spread": {
+                m["name"]: {side: spread([p[side]["result"]["metrics"][m["name"]]["value"] for p in pairs.values()])
+                            for side in SIDES}
+                for m in layers
+            },
         }
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=1, ensure_ascii=False)
         fh.write("\n")
     for w, rec in out["workloads"].items():
-        print(f"{w}: {rec['pairs']} pairs, failed {rec['failed']}, outputs identical {rec['outputs_identical']}")
+        print(f"{w}: {rec['pairs']} pairs, failed {rec['failed']}, outputs identical {rec['outputs_identical']} "
+              f"(trained parameters {rec['trained_parameters_identical']})")
 
 
 def main():

@@ -55,11 +55,10 @@ final class BiGru(val fwd: GruCell, val bwd: GruCell, val proj: Linear) extends 
     val d = fwd.uz.w.rows
     val h0 = Tensor.zeros(1, d)
     val f = fwd.unroll(xs, h0)
-    // Reverse rows, run, reverse back.
-    val revIdx = (xs.rows - 1 to 0 by -1).toArray
-    val rev = Ops.concatRows(revIdx.toSeq.map(i => Ops.sliceRows(xs, i, i + 1)))
-    val bRev = bwd.unroll(rev, h0)
-    val b = Ops.concatRows(revIdx.toSeq.map(i => Ops.sliceRows(bRev, i, i + 1)))
+    // Reverse rows, run, reverse back: one gather each way.
+    val revIdx = Array.tabulate(xs.rows)(i => xs.rows - 1 - i)
+    val bRev = bwd.unroll(Ops.rows(xs, revIdx), h0)
+    val b = Ops.rows(bRev, revIdx)
     proj(Ops.concatCols(f, b))
   }
   def params: Seq[Tensor] = fwd.params ++ bwd.params ++ proj.params

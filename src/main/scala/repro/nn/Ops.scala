@@ -1,62 +1,24 @@
 package repro.nn
 
 /** Differentiable tensor operations. Every op computes the forward value
-  * eagerly and, when `tp` is a [[GradTape]], records a closure that
-  * accumulates input gradients from the output gradient. All gradients are
-  * verified against numerical differentiation in `nn.GradCheckSpec`.
+  * eagerly and, when `tp` is a [[GradTape]], records its output with a
+  * closure that accumulates input gradients from the output gradient. All
+  * gradients are verified against numerical differentiation in
+  * `nn.GradCheckSpec`.
   */
 object Ops {
 
-  /** a(m x k) * b(k x n) -> m x n */
+  /** a(m x k) * b(k x n) -> m x n, through the [[MatMul]] kernels. */
   def matmul(a: Tensor, b: Tensor)(implicit tp: Tape): Tensor = {
     require(a.cols == b.rows, s"matmul $a * $b")
     val m = a.rows; val k = a.cols; val n = b.cols
     val out = new Array[Double](m * n)
-    var i = 0
-    while (i < m) {
-      var p = 0
-      while (p < k) {
-        val av = a.data(i * k + p)
-        if (av != 0.0) {
-          var j = 0
-          val bo = p * n; val oo = i * n
-          while (j < n) { out(oo + j) += av * b.data(bo + j); j += 1 }
-        }
-        p += 1
-      }
-      i += 1
-    }
+    MatMul.mul(a.data, b.data, out, m, k, n)
     val y = new Tensor(m, n, out)
-    if (tp.active) tp.record { () =>
-      val dy = tp.grad(y); val da = tp.grad(a); val db = tp.grad(b)
-      // dA += dY * B^T
-      var i2 = 0
-      while (i2 < m) {
-        var p2 = 0
-        while (p2 < k) {
-          var s = 0.0; var j2 = 0
-          val yo = i2 * n; val bo = p2 * n
-          while (j2 < n) { s += dy(yo + j2) * b.data(bo + j2); j2 += 1 }
-          da(i2 * k + p2) += s
-          p2 += 1
-        }
-        i2 += 1
-      }
-      // dB += A^T * dY
-      var p3 = 0
-      while (p3 < k) {
-        var i3 = 0
-        while (i3 < m) {
-          val av = a.data(i3 * k + p3)
-          if (av != 0.0) {
-            var j3 = 0
-            val yo = i3 * n; val bo = p3 * n
-            while (j3 < n) { db(bo + j3) += av * dy(yo + j3); j3 += 1 }
-          }
-          i3 += 1
-        }
-        p3 += 1
-      }
+    if (tp.active) tp.record(y) { () =>
+      val dy = tp.grad(y)
+      MatMul.addABt(dy, b.data, tp.grad(a), m, k, n)
+      MatMul.addAtB(a.data, dy, tp.grad(b), m, k, n)
     }
     y
   }
@@ -67,7 +29,7 @@ object Ops {
     var r = 0
     while (r < m) { var c = 0; while (c < n) { out(c * m + r) = a.data(r * n + c); c += 1 }; r += 1 }
     val y = new Tensor(n, m, out)
-    if (tp.active) tp.record { () =>
+    if (tp.active) tp.record(y) { () =>
       val dy = tp.grad(y); val da = tp.grad(a)
       var i = 0
       while (i < a.rows) { var j = 0; while (j < a.cols) { da(i * a.cols + j) += dy(j * a.rows + i); j += 1 }; i += 1 }
@@ -80,7 +42,7 @@ object Ops {
     val out = new Array[Double](a.size)
     var k = 0; while (k < out.length) { out(k) = a.data(k) + b.data(k); k += 1 }
     val y = new Tensor(a.rows, a.cols, out)
-    if (tp.active) tp.record { () =>
+    if (tp.active) tp.record(y) { () =>
       val dy = tp.grad(y); val da = tp.grad(a); val db = tp.grad(b)
       var i = 0; while (i < y.size) { da(i) += dy(i); db(i) += dy(i); i += 1 }
     }
@@ -95,7 +57,7 @@ object Ops {
     var r = 0
     while (r < a.rows) { var c = 0; while (c < n) { val k = r * n + c; out(k) = a.data(k) + b.data(c); c += 1 }; r += 1 }
     val y = new Tensor(a.rows, n, out)
-    if (tp.active) tp.record { () =>
+    if (tp.active) tp.record(y) { () =>
       val dy = tp.grad(y); val da = tp.grad(a); val db = tp.grad(b)
       var i = 0
       while (i < a.rows) { var j = 0; while (j < n) { val g = dy(i * n + j); da(i * n + j) += g; db(j) += g; j += 1 }; i += 1 }
@@ -111,7 +73,7 @@ object Ops {
     var r = 0
     while (r < a.rows) { var c = 0; while (c < n) { val k = r * n + c; out(k) = a.data(k) * b.data(c); c += 1 }; r += 1 }
     val y = new Tensor(a.rows, n, out)
-    if (tp.active) tp.record { () =>
+    if (tp.active) tp.record(y) { () =>
       val dy = tp.grad(y); val da = tp.grad(a); val db = tp.grad(b)
       var i = 0
       while (i < a.rows) {
@@ -133,7 +95,7 @@ object Ops {
     val out = new Array[Double](a.size)
     var k = 0; while (k < out.length) { out(k) = a.data(k) * b.data(k); k += 1 }
     val y = new Tensor(a.rows, a.cols, out)
-    if (tp.active) tp.record { () =>
+    if (tp.active) tp.record(y) { () =>
       val dy = tp.grad(y); val da = tp.grad(a); val db = tp.grad(b)
       var i = 0; while (i < y.size) { da(i) += dy(i) * b.data(i); db(i) += dy(i) * a.data(i); i += 1 }
     }
@@ -144,7 +106,7 @@ object Ops {
     val out = new Array[Double](a.size)
     var k = 0; while (k < out.length) { out(k) = a.data(k) * c; k += 1 }
     val y = new Tensor(a.rows, a.cols, out)
-    if (tp.active) tp.record { () =>
+    if (tp.active) tp.record(y) { () =>
       val dy = tp.grad(y); val da = tp.grad(a)
       var i = 0; while (i < y.size) { da(i) += dy(i) * c; i += 1 }
     }
@@ -155,7 +117,7 @@ object Ops {
     val out = new Array[Double](a.size)
     var k = 0; while (k < out.length) { val v = a.data(k); out(k) = if (v > 0) v else 0.0; k += 1 }
     val y = new Tensor(a.rows, a.cols, out)
-    if (tp.active) tp.record { () =>
+    if (tp.active) tp.record(y) { () =>
       val dy = tp.grad(y); val da = tp.grad(a)
       var i = 0; while (i < y.size) { if (a.data(i) > 0) da(i) += dy(i); i += 1 }
     }
@@ -166,7 +128,7 @@ object Ops {
     val out = new Array[Double](a.size)
     var k = 0; while (k < out.length) { out(k) = 1.0 / (1.0 + math.exp(-a.data(k))); k += 1 }
     val y = new Tensor(a.rows, a.cols, out)
-    if (tp.active) tp.record { () =>
+    if (tp.active) tp.record(y) { () =>
       val dy = tp.grad(y); val da = tp.grad(a)
       var i = 0; while (i < y.size) { val s = y.data(i); da(i) += dy(i) * s * (1 - s); i += 1 }
     }
@@ -177,7 +139,7 @@ object Ops {
     val out = new Array[Double](a.size)
     var k = 0; while (k < out.length) { out(k) = math.tanh(a.data(k)); k += 1 }
     val y = new Tensor(a.rows, a.cols, out)
-    if (tp.active) tp.record { () =>
+    if (tp.active) tp.record(y) { () =>
       val dy = tp.grad(y); val da = tp.grad(a)
       var i = 0; while (i < y.size) { val t = y.data(i); da(i) += dy(i) * (1 - t * t); i += 1 }
     }
@@ -201,7 +163,7 @@ object Ops {
       i += 1
     }
     val y = new Tensor(a.rows, n, out)
-    if (tp.active) tp.record { () =>
+    if (tp.active) tp.record(y) { () =>
       val dy = tp.grad(y); val da = tp.grad(a)
       var i2 = 0
       while (i2 < a.rows) {
@@ -244,7 +206,7 @@ object Ops {
       i += 1
     }
     val y = new Tensor(x.rows, n, out)
-    if (tp.active) tp.record { () =>
+    if (tp.active) tp.record(y) { () =>
       val dy = tp.grad(y); val dx = tp.grad(x); val dg = tp.grad(gain); val db = tp.grad(bias)
       var i3 = 0
       while (i3 < x.rows) {
@@ -283,7 +245,7 @@ object Ops {
       r += 1
     }
     val y = new Tensor(a.rows, n, out)
-    if (tp.active) tp.record { () =>
+    if (tp.active) tp.record(y) { () =>
       val dy = tp.grad(y); val da = tp.grad(a); val db = tp.grad(b)
       var i = 0
       while (i < a.rows) {
@@ -306,7 +268,7 @@ object Ops {
     var off = 0
     parts.foreach { p => System.arraycopy(p.data, 0, d, off, p.size); off += p.size }
     val y = new Tensor(m, n, d)
-    if (tp.active) tp.record { () =>
+    if (tp.active) tp.record(y) { () =>
       val dy = tp.grad(y)
       var off2 = 0
       parts.foreach { p =>
@@ -323,7 +285,7 @@ object Ops {
     val out = new Array[Double](a.rows * w)
     var r = 0; while (r < a.rows) { System.arraycopy(a.data, r * a.cols + from, out, r * w, w); r += 1 }
     val y = new Tensor(a.rows, w, out)
-    if (tp.active) tp.record { () =>
+    if (tp.active) tp.record(y) { () =>
       val dy = tp.grad(y); val da = tp.grad(a)
       var i = 0
       while (i < a.rows) { var j = 0; while (j < w) { da(i * a.cols + from + j) += dy(i * w + j); j += 1 }; i += 1 }
@@ -336,7 +298,7 @@ object Ops {
     val out = new Array[Double](h * a.cols)
     System.arraycopy(a.data, from * a.cols, out, 0, out.length)
     val y = new Tensor(h, a.cols, out)
-    if (tp.active) tp.record { () =>
+    if (tp.active) tp.record(y) { () =>
       val dy = tp.grad(y); val da = tp.grad(a)
       var i = 0; while (i < y.size) { da(from * a.cols + i) += dy(i); i += 1 }
     }
@@ -349,7 +311,7 @@ object Ops {
     val out = new Array[Double](idx.length * n)
     var r = 0; while (r < idx.length) { System.arraycopy(emb.data, idx(r) * n, out, r * n, n); r += 1 }
     val y = new Tensor(idx.length, n, out)
-    if (tp.active) tp.record { () =>
+    if (tp.active) tp.record(y) { () =>
       val dy = tp.grad(y); val de = tp.grad(emb)
       var i = 0
       while (i < idx.length) {
@@ -367,7 +329,7 @@ object Ops {
     var i = 0
     while (i < m) { var j = 0; while (j < n) { d(j) += a(i, j) / m; j += 1 }; i += 1 }
     val y = new Tensor(1, n, d)
-    if (tp.active) tp.record { () =>
+    if (tp.active) tp.record(y) { () =>
       val dy = tp.grad(y); val da = tp.grad(a)
       var i2 = 0
       while (i2 < m) { var j = 0; while (j < n) { da(i2 * n + j) += dy(j) / m; j += 1 }; i2 += 1 }
@@ -377,7 +339,7 @@ object Ops {
 
   def sumAll(a: Tensor)(implicit tp: Tape): Tensor = {
     val y = new Tensor(1, 1, Array(a.data.sum))
-    if (tp.active) tp.record { () =>
+    if (tp.active) tp.record(y) { () =>
       val g = tp.grad(y)(0); val da = tp.grad(a)
       var i = 0; while (i < a.size) { da(i) += g; i += 1 }
     }
@@ -391,7 +353,7 @@ object Ops {
     val out = new Array[Double](m * n)
     var r = 0; while (r < m) { System.arraycopy(row.data, 0, out, r * n, n); r += 1 }
     val y = new Tensor(m, n, out)
-    if (tp.active) tp.record { () =>
+    if (tp.active) tp.record(y) { () =>
       val dy = tp.grad(y); val dr = tp.grad(row)
       var i = 0
       while (i < m) { var j = 0; while (j < n) { dr(j) += dy(i * n + j); j += 1 }; i += 1 }
@@ -410,7 +372,7 @@ object Ops {
       i += 1
     }
     val y = new Tensor(1, 1, Array(loss))
-    if (tp.active) tp.record { () =>
+    if (tp.active) tp.record(y) { () =>
       val g = tp.grad(y)(0); val dl = tp.grad(logits)
       var i2 = 0
       while (i2 < logits.size) {
@@ -441,7 +403,7 @@ object Ops {
       i += 1
     }
     val y = new Tensor(1, 1, Array(loss))
-    if (tp.active) tp.record { () =>
+    if (tp.active) tp.record(y) { () =>
       val g = tp.grad(y)(0); val dl = tp.grad(logits)
       var i2 = 0
       while (i2 < logits.rows) {
@@ -464,7 +426,7 @@ object Ops {
     var i = 0
     while (i < pred.size) { loss += math.abs(pred.data(i) - target(i)); i += 1 }
     val y = new Tensor(1, 1, Array(loss))
-    if (tp.active) tp.record { () =>
+    if (tp.active) tp.record(y) { () =>
       val g = tp.grad(y)(0); val dp = tp.grad(pred)
       var i2 = 0
       while (i2 < pred.size) {
@@ -482,7 +444,7 @@ object Ops {
     var i = 0
     while (i < pred.size) { val d = pred.data(i) - target(i); loss += d * d; i += 1 }
     val y = new Tensor(1, 1, Array(loss))
-    if (tp.active) tp.record { () =>
+    if (tp.active) tp.record(y) { () =>
       val g = tp.grad(y)(0); val dp = tp.grad(pred)
       var i2 = 0
       while (i2 < pred.size) { dp(i2) += g * 2 * (pred.data(i2) - target(i2)); i2 += 1 }

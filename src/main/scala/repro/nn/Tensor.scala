@@ -5,13 +5,21 @@ import scala.collection.mutable
 /** A dense row-major 2-D tensor of doubles.
   *
   * Gradients are NOT stored on the tensor: they live in the [[GradTape]]
-  * that recorded the forward pass, keyed by tensor identity. This keeps
-  * tensors immutable-by-convention and makes data-parallel training trivial
-  * (each worker thread owns a private tape; parameter gradients are summed
-  * after backward).
+  * that recorded the forward pass. An op's output carries only the id of
+  * the tape that recorded it and its slot there, so that tape finds its
+  * gradient by index; every other tensor (parameters, constants, outputs of
+  * another tape) is a leaf, whose gradient the tape keys by identity. Those
+  * two fields are written once, when the output is made, and never on a
+  * parameter, so tensors stay immutable-by-convention and data-parallel
+  * training stays trivial (each worker thread owns a private tape;
+  * parameter gradients are summed after backward).
   */
 final class Tensor(val rows: Int, val cols: Int, val data: Array[Double]) extends Serializable {
   require(data.length == rows * cols, s"shape ${rows}x$cols != data ${data.length}")
+  /** Id of the [[GradTape]] that recorded this tensor as an op output (0: none). */
+  @transient private[nn] var tapeId: Long = 0L
+  /** This tensor's slot on that tape. */
+  @transient private[nn] var slot: Int = -1
   def apply(i: Int, j: Int): Double = data(i * cols + j)
   def size: Int = data.length
   def copyTensor(): Tensor = new Tensor(rows, cols, data.clone())
@@ -78,29 +86,44 @@ object Tensor {
 /** Recording context for reverse-mode autodiff. [[NoTape]] disables
   * recording (inference); [[GradTape]] records and replays backward.
   */
-sealed trait Tape {
+trait Tape {
   def active: Boolean
-  def record(f: () => Unit): Unit
+  /** Record `f`, which adds the input gradients of the op whose output is `y`. */
+  def record(y: Tensor)(f: () => Unit): Unit
   def grad(t: Tensor): Array[Double]
 }
 
 object NoTape extends Tape {
   val active = false
-  def record(f: () => Unit): Unit = ()
+  def record(y: Tensor)(f: () => Unit): Unit = ()
   def grad(t: Tensor): Array[Double] =
     throw new IllegalStateException("gradients requested outside a GradTape")
 }
 
+/** Records ops in forward order and replays them backward. Recording gives
+  * the op's output the next slot, so the gradient of a tensor this tape
+  * recorded is an array index; only leaves go through the identity map.
+  */
 final class GradTape extends Tape {
   val active = true
+  private val id = GradTape.ids.incrementAndGet()
   private val ops = mutable.ArrayBuffer.empty[() => Unit]
-  private val grads = new java.util.IdentityHashMap[Tensor, Array[Double]]()
-  def record(f: () => Unit): Unit = ops += f
-  def grad(t: Tensor): Array[Double] = {
-    var g = grads.get(t)
-    if (g == null) { g = new Array[Double](t.size); grads.put(t, g) }
-    g
+  private val outGrads = mutable.ArrayBuffer.empty[Array[Double]]
+  private val leafGrads = new java.util.IdentityHashMap[Tensor, Array[Double]]()
+  def record(y: Tensor)(f: () => Unit): Unit = {
+    y.tapeId = id; y.slot = ops.length
+    ops += f; outGrads += null
   }
+  def grad(t: Tensor): Array[Double] =
+    if (t.tapeId == id) {
+      var g = outGrads(t.slot)
+      if (g == null) { g = new Array[Double](t.size); outGrads(t.slot) = g }
+      g
+    } else {
+      var g = leafGrads.get(t)
+      if (g == null) { g = new Array[Double](t.size); leafGrads.put(t, g) }
+      g
+    }
   /** Seed d(loss)/d(loss)=1 for a 1x1 loss tensor and replay the tape. */
   def backward(loss: Tensor): Unit = {
     require(loss.size == 1, s"backward needs a scalar loss, got $loss")
@@ -108,4 +131,8 @@ final class GradTape extends Tape {
     var i = ops.length - 1
     while (i >= 0) { ops(i)(); i -= 1 }
   }
+}
+
+object GradTape {
+  private val ids = new java.util.concurrent.atomic.AtomicLong()
 }

@@ -100,6 +100,29 @@ class ModuleSpec extends AnyFunSuite {
     assert(h.data.forall(v => math.abs(v) <= 1.0 + 1e-9)) // convex comb of tanh and 0
   }
 
+  test("BiGru's row gathers give the slice-and-concat reversal's values and gradients bit for bit") {
+    val gru = BiGru(5, 6, new Random(3))
+    val xs = Tensor(7, 5)((_, _) => rnd.nextGaussian())
+    // The reversal as one sliceRows per row plus concatRows, each way.
+    def sliced(tp: Tape): Tensor = {
+      implicit val t: Tape = tp
+      val h0 = Tensor.zeros(1, 6)
+      val f = gru.fwd.unroll(xs, h0)
+      val revIdx = (xs.rows - 1 to 0 by -1).toArray
+      val rev = Ops.concatRows(revIdx.toSeq.map(i => Ops.sliceRows(xs, i, i + 1)))
+      val bRev = gru.bwd.unroll(rev, h0)
+      val b = Ops.concatRows(revIdx.toSeq.map(i => Ops.sliceRows(bRev, i, i + 1)))
+      gru.proj(Ops.concatCols(f, b))
+    }
+    def lossAndGrads(out: Tape => Tensor): Seq[Seq[Long]] = {
+      val tp = new GradTape
+      val y = out(tp)
+      tp.backward(Ops.sumAll(Ops.tanh(y)(tp))(tp))
+      (y +: xs +: gru.params).map(t => (if (t eq y) t.data else tp.grad(t)).toSeq.map(java.lang.Double.doubleToLongBits))
+    }
+    assert(lossAndGrads(tp => gru(xs)(tp)) == lossAndGrads(sliced))
+  }
+
   test("multi-head attention requires divisible dims") {
     intercept[IllegalArgumentException](MultiHeadAttention(7, 2, rnd))
   }

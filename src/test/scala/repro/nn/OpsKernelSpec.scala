@@ -4,9 +4,10 @@ import org.scalacheck.{Gen, Prop, Test}
 import org.scalatest.funsuite.AnyFunSuite
 
 /** Every loop-built `Ops` kernel equals its closure-built definition in
-  * [[ReferenceOps]] bit for bit (`±0.0` told apart), on random shapes
-  * (empty ones included) and values that mix ordinary numbers with signed
-  * zeros, infinities, NaN, subnormals and saturating magnitudes.
+  * [[ReferenceOps]] bit for bit (`±0.0` told apart), and the [[MatMul]]
+  * kernels equal the plain matmul loops, on random shapes (empty ones
+  * included) and values that mix ordinary numbers with signed zeros,
+  * infinities, NaN, subnormals and saturating magnitudes.
   */
 class OpsKernelSpec extends AnyFunSuite {
   private implicit val tp: Tape = NoTape
@@ -79,6 +80,49 @@ class OpsKernelSpec extends AnyFunSuite {
     } yield (emb, idx.toArray)
     check("rows")(Prop.forAllNoShrink(gather) { case (emb, idx) =>
       sameBits(Ops.rows(emb, idx), ReferenceOps.rows(emb, idx))
+    })
+  }
+
+  // Sizes around the kernels' blocks (two rows; four and eight columns or
+  // inner terms), m = 1 often, and operands of A that are often zero.
+  private val mDim = Gen.frequency(3 -> Gen.const(1), 4 -> Gen.choose(0, 9))
+  private val kn = Gen.choose(0, 19)
+  private val sparse: Gen[Double] = Gen.frequency(3 -> value, 2 -> Gen.oneOf(0.0, -0.0))
+  private val product = for {
+    m <- mDim; k <- kn; n <- kn
+    a <- Gen.listOfN(m * k, sparse); b <- tensor(k, n); dy <- tensor(m, n)
+    da <- tensor(m, k); db <- tensor(k, n)
+  } yield (new Tensor(m, k, a.toArray), b, dy.data, da.data, db.data)
+
+  test("matmul kernels equal the plain loops bit for bit: forward, dA and dB") {
+    check("forward")(Prop.forAllNoShrink(product) { case (a, b, _, _, _) =>
+      sameBits(Ops.matmul(a, b), ReferenceOps.matmul(a, b))
+    })
+    check("dA += dY B^T")(Prop.forAllNoShrink(product) { case (a, b, dy, da, _) =>
+      val got = da.clone(); val want = da.clone()
+      MatMul.addABt(dy, b.data, got, a.rows, a.cols, b.cols)
+      ReferenceOps.matmulGradA(a, b, dy, want)
+      sameBits(new Tensor(a.rows, a.cols, got), new Tensor(a.rows, a.cols, want))
+    })
+    check("dB += A^T dY")(Prop.forAllNoShrink(product) { case (a, b, dy, _, db) =>
+      val got = db.clone(); val want = db.clone()
+      MatMul.addAtB(a.data, dy, got, a.rows, a.cols, b.cols)
+      ReferenceOps.matmulGradB(a, b, dy, want)
+      sameBits(new Tensor(b.rows, b.cols, got), new Tensor(b.rows, b.cols, want))
+    })
+  }
+
+  test("matmul on a GradTape routes its gradients through the kernels bit for bit") {
+    check("matmul backward")(Prop.forAllNoShrink(product) { case (a, b, dy, _, _) =>
+      val tape = new GradTape
+      val y = Ops.matmul(a, b)(tape)
+      tape.backward(Ops.sumAll(Ops.mulElem(y, new Tensor(y.rows, y.cols, dy))(tape))(tape))
+      val dyUsed = tape.grad(y)
+      val da = new Array[Double](a.size); val db = new Array[Double](b.size)
+      ReferenceOps.matmulGradA(a, b, dyUsed, da)
+      ReferenceOps.matmulGradB(a, b, dyUsed, db)
+      sameBits(new Tensor(a.rows, a.cols, tape.grad(a)), new Tensor(a.rows, a.cols, da)) &&
+      sameBits(new Tensor(b.rows, b.cols, tape.grad(b)), new Tensor(b.rows, b.cols, db))
     })
   }
 

@@ -2,11 +2,69 @@ package repro.nn
 
 /** Forward values of the `Ops` kernels as they were written with the
   * closure-taking `Tensor(r, c)(f)` constructor, `Array.tabulate` and `.map`,
-  * and the positional encodings as they were recomputed on every call. Kept
-  * as the reference for the loop and `System.arraycopy` kernels, which must
+  * the positional encodings as they were recomputed on every call, and the
+  * three matmul products as plain loops. Kept as the reference for the loop,
+  * `System.arraycopy` and register-blocked [[MatMul]] kernels, which must
   * equal these bit for bit.
   */
 object ReferenceOps {
+
+  /** a(m x k) * b(k x n), one output row at a time in i-p-j order. */
+  def matmul(a: Tensor, b: Tensor): Tensor = {
+    val m = a.rows; val k = a.cols; val n = b.cols
+    val out = new Array[Double](m * n)
+    var i = 0
+    while (i < m) {
+      var p = 0
+      while (p < k) {
+        val av = a.data(i * k + p)
+        if (av != 0.0) {
+          var j = 0
+          val bo = p * n; val oo = i * n
+          while (j < n) { out(oo + j) += av * b.data(bo + j); j += 1 }
+        }
+        p += 1
+      }
+      i += 1
+    }
+    new Tensor(m, n, out)
+  }
+
+  /** da += dy * b^T for y = a * b, one dot product per element of da. */
+  def matmulGradA(a: Tensor, b: Tensor, dy: Array[Double], da: Array[Double]): Unit = {
+    val m = a.rows; val k = a.cols; val n = b.cols
+    var i = 0
+    while (i < m) {
+      var p = 0
+      while (p < k) {
+        var s = 0.0; var j = 0
+        val yo = i * n; val bo = p * n
+        while (j < n) { s += dy(yo + j) * b.data(bo + j); j += 1 }
+        da(i * k + p) += s
+        p += 1
+      }
+      i += 1
+    }
+  }
+
+  /** db += a^T * dy for y = a * b, one row of a^T at a time. */
+  def matmulGradB(a: Tensor, b: Tensor, dy: Array[Double], db: Array[Double]): Unit = {
+    val m = a.rows; val k = a.cols; val n = b.cols
+    var p = 0
+    while (p < k) {
+      var i = 0
+      while (i < m) {
+        val av = a.data(i * k + p)
+        if (av != 0.0) {
+          var j = 0
+          val yo = i * n; val bo = p * n
+          while (j < n) { db(bo + j) += av * dy(yo + j); j += 1 }
+        }
+        i += 1
+      }
+      p += 1
+    }
+  }
 
   def transpose(a: Tensor): Tensor = Tensor(a.cols, a.rows)((i, j) => a(j, i))
 
