@@ -2,31 +2,31 @@ package repro.core
 
 import repro.geo.XY
 import repro.mm.MapMatcher
-import repro.recovery.Recoverer
-import repro.traj.{Recovered, Traj}
+import repro.recovery.{Recoverer, RouteRecoverer}
+import repro.traj.{MatchedRoute, Recovered, Traj}
 
-/** End-to-end TRMMA (Algorithm 2): run the map matcher (MMA by default;
-  * HMM / Nearest for the Table IV ablations), project the sparse points
-  * onto their matched segments, then recover every missing epsilon-slot
-  * with the trained [[TrmmaModel]] restricted to the route's segments.
+/** End-to-end TRMMA (Algorithm 2): take the map matcher's output (MMA by
+  * default; HMM / Nearest for the Table IV ablations), project the sparse
+  * points onto their matched segments, then recover every missing
+  * epsilon-slot with the trained [[TrmmaModel]] restricted to the route's
+  * segments.
   */
 final class Trmma(
     val model: TrmmaModel,
     val matcher: MapMatcher,
     val epsilon: Double,
     override val name: String = "TRMMA",
-) extends Recoverer {
+) extends RouteRecoverer {
 
-  def recover(t: Traj): Recovered = {
-    val (sample, times) = prepare(t)
+  def recover(t: Traj, mr: MatchedRoute): Recovered = {
+    val (sample, times) = prepare(t, mr)
     Recovered(t.id, model.decode(sample, times))
   }
 
-  /** The decoder's input for `t` (matched, projected, on the ε-slot
+  /** The decoder's input for `t` matched as `mr` (projected, on the ε-slot
     * timeline) and the slot timestamps.
     */
-  def prepare(t: Traj): (TrmmaSample, Array[Double]) = {
-    val mr = matcher.matchTraj(t)
+  def prepare(t: Traj, mr: MatchedRoute): (TrmmaSample, Array[Double]) = {
     val segs = mr.perPoint
     val tl = Recoverer.slotTimeline(t, epsilon)
     val observed = Array.tabulate(tl.length)(tl.observed)

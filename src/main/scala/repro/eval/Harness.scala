@@ -6,7 +6,7 @@ import repro.geo.RoutePlanner
 import repro.mm._
 import repro.nn.Node2Vec
 import repro.recovery._
-import repro.traj.{Datasets, Traj, TrajGen}
+import repro.traj.{Datasets, MatchedRoute, Recovered, TrajGen}
 import scala.collection.immutable.ListMap
 
 /** Experiment scale knobs. The bench defaults fit the full 4-city matrix in
@@ -120,7 +120,7 @@ object Harness {
     GraphMmModel.train(graphMmModel, trainSet, epochs = scale.epGraph)
     val lhmm = Lhmm.train(net, planner, trainSet)
 
-    // ---- matchers ----
+    // ---- map matching: each matcher runs once over the test set ----
     val nearest = new Nearest(net, planner)
     val fmm = new HmmMatcher(net, planner)
     val mma = new Mma(mmaModel, planner)
@@ -128,9 +128,19 @@ object Harness {
     val mmaDI = new Mma(mmaDIModel, planner)
     val deepMm = new DeepMm(deepMmModel, planner)
     val graphMm = new GraphMm(graphMmModel, planner)
-    val rnMm = new RnTrajRecMm(seqModels("rntrajrec"), planner)
+    log(s"[$city] ${elapsed()} map-matching the test set ...")
+    // Keyed by instance: the three MMA variants share the name "MMA".
+    val matched: Map[MapMatcher, Pass[MatchedRoute]] = Seq(nearest, fmm, lhmm, deepMm, graphMm, mma, mmaC, mmaDI)
+      .map(m => m -> SparkInfer.mapMatch(spark, net, m, testSet)).toMap
+    def logged[O](name: String, p: Pass[O]): Pass[O] = {
+      log(f"[$city]   $name%-14s ${p.scores.metrics.toSeq.sorted.map { case (k, v) => f"$k $v%.4f" }.mkString("  ")}" +
+        f"  (${p.scores.secPer1000}%.2fs/1000)")
+      p
+    }
+    def recover(r: Recoverer): Pass[Recovered] = logged(r.name, SparkInfer.recovery(spark, net, r, testSet, matched))
 
-    // ---- recoverers (Table III order) ----
+    // ---- recoverers (Table III order), on the matchers' passes ----
+    log(s"[$city] ${elapsed()} evaluating recovery methods ...")
     val recoverers: Seq[Recoverer] = Seq(
       new LinearInterp(net, fmm, eps, "Linear"),
       new FreeSpaceRec(dhtr, "DHTR"),
@@ -143,14 +153,8 @@ object Harness {
       new SeqRec(seqModels("rntrajrec"), "RNTrajRec"),
       new Trmma(trmmaModel, mma, eps, "TRMMA"),
     )
-
-    log(s"[$city] ${elapsed()} evaluating recovery methods ...")
-    val recScores = ListMap(recoverers.map { r =>
-      val (df, sec) = SparkInfer.recovery(spark, net, r, testSet)
-      val m = Metrics.aggregate(df)
-      log(f"[$city]   ${r.name}%-12s acc ${m("accuracy") * 100}%.2f  f1 ${m("f1") * 100}%.2f  mae ${m("mae")}%.1f  ($sec%.2fs/1000)")
-      r.name -> MethodScores(m, sec)
-    }: _*)
+    val recovered = ListMap(recoverers.map(r => r.name -> recover(r)): _*)
+    val recScores = recovered.map { case (k, p) => k -> p.scores }
 
     // ---- ablations (Table IV: accuracy only) ----
     log(s"[$city] ${elapsed()} evaluating ablations ...")
@@ -163,24 +167,14 @@ object Harness {
       new Trmma(trmmaModel, mmaC, eps, "TRMMA-C"),
       new Trmma(trmmaModel, mmaDI, eps, "TRMMA-DI"),
     )
-    val ablScores = ListMap(
-      (("TRMMA" -> recScores("TRMMA").metrics("accuracy")) +:
-        ablators.map { r =>
-          val (df, _) = SparkInfer.recovery(spark, net, r, testSet)
-          val acc = Metrics.aggregate(df)("accuracy")
-          log(f"[$city]   ${r.name}%-14s acc ${acc * 100}%.2f")
-          r.name -> acc
-        }): _*)
+    val ablScores = ListMap(("TRMMA" -> recScores("TRMMA").metrics("accuracy")) +:
+      ablators.map(r => r.name -> recover(r).scores.metrics("accuracy")): _*)
 
-    // ---- map matching (Table V order) ----
-    log(s"[$city] ${elapsed()} evaluating map-matching methods ...")
-    val matchers: Seq[MapMatcher] = Seq(nearest, fmm, lhmm, rnMm, deepMm, graphMm, mma)
-    val mmScores = ListMap(matchers.map { m =>
-      val (df, sec) = SparkInfer.mapMatch(spark, net, m, testSet)
-      val s = Metrics.aggregate(df)
-      log(f"[$city]   ${m.name}%-10s f1 ${s("f1") * 100}%.2f  jac ${s("jaccard") * 100}%.2f  ($sec%.2fs/1000)")
-      m.name -> MethodScores(s, sec)
-    }: _*)
+    // ---- map matching (Table V order); RNTrajRec's route is read off its recovery ----
+    val rnTrajRec = SparkInfer.mapMatch(spark, net, new RnTrajRecMm(planner, eps), testSet, recovered("RNTrajRec"))
+    val mmScores = ListMap(Seq("Nearest" -> matched(nearest), "FMM" -> matched(fmm), "LHMM" -> matched(lhmm),
+      "RNTrajRec" -> rnTrajRec, "DeepMM" -> matched(deepMm), "GraphMM" -> matched(graphMm), "MMA" -> matched(mma))
+      .map { case (k, p) => k -> logged(k, p).scores }: _*)
 
     // ---- Table II stats ----
     val stats = {

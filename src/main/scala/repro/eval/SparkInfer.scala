@@ -1,57 +1,81 @@
 package repro.eval
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.geo.{RoadNetwork, ShortestPath}
-import repro.mm.MapMatcher
-import repro.recovery.Recoverer
-import repro.traj.Traj
+import repro.mm.{MapMatcher, RnTrajRecMm}
+import repro.recovery.{Recoverer, RouteRecoverer}
+import repro.traj.{MatchedRoute, Recovered, Traj}
 import scala.reflect.ClassTag
 import scala.reflect.runtime.universe.TypeTag
 
-/** Distributed batched inference (the repro hint's extension point): the
-  * trained model (inside the Recoverer/MapMatcher) and the road network are
-  * broadcast once; trajectories are processed per partition with a
-  * per-partition network-distance cache, and the per-trajectory metric rows
-  * come back as a DataFrame for SQL aggregation.
+/** One method's pass over a test set: its outputs in test-set order and
+  * their aggregated metrics.
+  */
+final case class Pass[O](outputs: IndexedSeq[O], scores: MethodScores)
+
+/** Distributed batched inference: the trained model (inside the method) and
+  * the road network are broadcast once; trajectories are processed per
+  * partition with a per-partition network-distance cache, and the
+  * per-trajectory metric rows are aggregated with DataFrame SQL. Seconds per
+  * 1000 trajectories are model time only, measured inside the partitions. A
+  * method that works on another pass's outputs gets them next to each
+  * trajectory, and its seconds include that pass's.
   */
 object SparkInfer {
 
-  /** Per-trajectory recovery metrics for `rec` over `testSet`, plus the
-    * mean inference seconds per 1000 trajectories (model time only,
-    * measured inside the partitions; metric computation excluded).
-    */
-  def recovery(spark: SparkSession, net: RoadNetwork, rec: Recoverer,
-               testSet: Seq[Traj]): (DataFrame, Double) =
-    infer(spark, net, rec, testSet)(_.recover(_)) { (localNet, cache, t, out) =>
-      Metrics.recovery(localNet, t, out.points, cache)
-    }
-
-  /** Per-trajectory map-matching metrics, plus seconds per 1000. */
+  /** `matcher` over `testSet`, scored on route metrics. */
   def mapMatch(spark: SparkSession, net: RoadNetwork, matcher: MapMatcher,
-               testSet: Seq[Traj]): (DataFrame, Double) =
+               testSet: IndexedSeq[Traj]): Pass[MatchedRoute] =
     infer(spark, net, matcher, testSet)(_.matchTraj(_))((_, _, t, mr) => Metrics.mapMatch(t, mr.route))
 
-  /** Broadcast `method` and `net`, `run` the method on every trajectory of
-    * `testSet` per partition (timed), `score` each output, and return the
-    * score rows with the mean seconds per 1000 trajectories.
+  /** `rec` over `testSet`, scored on recovery metrics. A [[RouteRecoverer]]
+    * works along its matcher's pass, `matched(rec.matcher)`, and never calls
+    * the matcher.
     */
-  private def infer[M: ClassTag, O, R <: Product : TypeTag](spark: SparkSession, net: RoadNetwork,
-      method: M, testSet: Seq[Traj])(run: (M, Traj) => O)(
-      score: (RoadNetwork, ShortestPath.DistCache, Traj, O) => R): (DataFrame, Double) = {
+  def recovery(spark: SparkSession, net: RoadNetwork, rec: Recoverer, testSet: IndexedSeq[Traj],
+               matched: MapMatcher => Pass[MatchedRoute]): Pass[Recovered] = rec match {
+    case r: RouteRecoverer =>
+      val routes = matched(r.matcher)
+      after(testSet, routes)(infer(spark, net, r, testSet.zip(routes.outputs))((r, in) => r.recover(in._1, in._2))(
+        (n, c, in, out) => Metrics.recovery(n, in._1, out.points, c)))
+    case _ => infer(spark, net, rec, testSet)(_.recover(_))((n, c, t, out) => Metrics.recovery(n, t, out.points, c))
+  }
+
+  /** RNTrajRec's routes (Table V) from its recovery pass `recovered`. */
+  def mapMatch(spark: SparkSession, net: RoadNetwork, rn: RnTrajRecMm, testSet: IndexedSeq[Traj],
+               recovered: Pass[Recovered]): Pass[MatchedRoute] =
+    after(testSet, recovered)(infer(spark, net, rn, testSet.zip(recovered.outputs))((m, in) => m.route(in._1, in._2))(
+      (_, _, in, mr) => Metrics.mapMatch(in._1, mr.route)))
+
+  /** `p`, a pass over `prior`'s outputs on `testSet`, with `prior`'s seconds added. */
+  private def after[O](testSet: IndexedSeq[Traj], prior: Pass[_])(p: => Pass[O]): Pass[O] = {
+    require(prior.outputs.length == testSet.length, "a pass over another test set")
+    val q = p
+    q.copy(scores = q.scores.copy(secPer1000 = q.scores.secPer1000 + prior.scores.secPer1000))
+  }
+
+  /** Broadcast `method` and `net`, `run` the method on every input per
+    * partition (timed), `score` each output, and return the outputs with
+    * the aggregated scores and the mean seconds per 1000 inputs.
+    */
+  private def infer[M: ClassTag, I <: Product : TypeTag, O <: Product : TypeTag, R <: Product : TypeTag](
+      spark: SparkSession, net: RoadNetwork, method: M, inputs: IndexedSeq[I])(run: (M, I) => O)(
+      score: (RoadNetwork, ShortestPath.DistCache, I, O) => R): Pass[O] = {
     import spark.implicits._
     val bcNet = spark.sparkContext.broadcast(net)
     val bcM = spark.sparkContext.broadcast(method)
-    val rows = spark.createDataset(testSet.toSeq).mapPartitions { iter =>
+    val rows = spark.createDataset(inputs).mapPartitions { iter =>
       val localNet = bcNet.value
       val localM = bcM.value
       val cache = new ShortestPath.DistCache(localNet)
-      iter.map { t =>
+      iter.map { in =>
         val t0 = System.nanoTime()
-        val out = run(localM, t)
+        val out = run(localM, in)
         val dt = (System.nanoTime() - t0) / 1e9
-        (score(localNet, cache, t, out), dt)
+        (out, score(localNet, cache, in, out), dt)
       }
     }.collect()
-    (rows.toSeq.map(_._1).toDF(), rows.map(_._2).sum / rows.length * 1000)
+    Pass(rows.toIndexedSeq.map(_._1),
+      MethodScores(Metrics.aggregate(rows.toSeq.map(_._2).toDF()), rows.map(_._3).sum / rows.length * 1000))
   }
 }

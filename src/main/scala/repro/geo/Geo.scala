@@ -1,9 +1,6 @@
 package repro.geo
 
-/** A WGS-84 coordinate. */
-final case class LatLng(lat: Double, lng: Double) extends Serializable
-
-/** Planar (metres) coordinate in a city-local projection. */
+/** Planar coordinate in metres, in a city's local frame. */
 final case class XY(x: Double, y: Double) extends Serializable {
   def dist(o: XY): Double = math.hypot(x - o.x, y - o.y)
   def -(o: XY): XY = XY(x - o.x, y - o.y)
@@ -12,38 +9,10 @@ final case class XY(x: Double, y: Double) extends Serializable {
   def norm: Double = math.hypot(x, y)
 }
 
-/** Geometry helpers.
-  *
-  * City-scale work uses a local equirectangular projection anchored at the
-  * city centre: accurate to well under GPS noise (cm-level over ~30 km) and
-  * far cheaper than haversine inside the R-tree / HMM inner loops. Haversine
-  * is kept for sanity tests against the projection.
+/** Planar geometry helpers: every network and trajectory is generated in
+  * metres, so no work needs a map projection.
   */
 object Geo {
-  val EarthRadiusM: Double = 6371008.8
-
-  /** Great-circle distance in metres. */
-  def haversineM(a: LatLng, b: LatLng): Double = {
-    val dLat = math.toRadians(b.lat - a.lat)
-    val dLng = math.toRadians(b.lng - a.lng)
-    val s = math.pow(math.sin(dLat / 2), 2) +
-      math.cos(math.toRadians(a.lat)) * math.cos(math.toRadians(b.lat)) *
-        math.pow(math.sin(dLng / 2), 2)
-    2 * EarthRadiusM * math.asin(math.min(1.0, math.sqrt(s)))
-  }
-
-  /** Local equirectangular projection anchored at `origin`. */
-  final case class Projection(origin: LatLng) extends Serializable {
-    private val cosLat0 = math.cos(math.toRadians(origin.lat))
-    def toXY(p: LatLng): XY = XY(
-      math.toRadians(p.lng - origin.lng) * EarthRadiusM * cosLat0,
-      math.toRadians(p.lat - origin.lat) * EarthRadiusM,
-    )
-    def toLatLng(p: XY): LatLng = LatLng(
-      origin.lat + math.toDegrees(p.y / EarthRadiusM),
-      origin.lng + math.toDegrees(p.x / (EarthRadiusM * cosLat0)),
-    )
-  }
 
   /** Unclamped-to-[0,1] projection parameter of `p` onto segment `a -> b`. */
   private def projParam(p: XY, a: XY, b: XY): Double = {

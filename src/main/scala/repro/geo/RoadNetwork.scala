@@ -22,7 +22,7 @@ final case class Segment(
   def dir: XY = b - a
 }
 
-/** A directed road network G = (V, E) in a city-local planar projection.
+/** A directed road network G = (V, E) in a city-local planar frame (metres).
   *
   * Nodes are intersections; segments are directed edges with geometry. The
   * whole structure is immutable and Serializable so it can be broadcast to
@@ -30,7 +30,6 @@ final case class Segment(
   */
 final class RoadNetwork(
     val name: String,
-    val projection: Geo.Projection,
     val nodes: Array[XY],
     val segments: Array[Segment],
 ) extends Serializable {
@@ -103,7 +102,6 @@ object RoadNetwork {
   /** Parameters of the synthetic city generator. */
   final case class CityConfig(
       name: String,
-      center: LatLng,
       gridW: Int,
       gridH: Int,
       spacingM: Double,
@@ -120,7 +118,6 @@ object RoadNetwork {
     */
   def generate(cfg: CityConfig): RoadNetwork = {
     val rnd = new Random(cfg.seed)
-    val proj = Geo.Projection(cfg.center)
     val w = cfg.gridW; val h = cfg.gridH
     val nodes = new Array[XY](w * h)
     val halfW = (w - 1) * cfg.spacingM / 2
@@ -176,6 +173,6 @@ object RoadNetwork {
       val s2 = laneShift(nodes(v), nodes(u))
       segs += Segment(segs.length, v, u, nodes(v) + s2, nodes(u) + s2, len, f)
     }
-    new RoadNetwork(cfg.name, proj, nodes, segs.toArray)
+    new RoadNetwork(cfg.name, nodes, segs.toArray)
   }
 }

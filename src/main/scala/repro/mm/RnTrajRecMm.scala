@@ -1,24 +1,20 @@
 package repro.mm
 
 import repro.geo.RoutePlanner
-import repro.recovery.SeqRecModel
-import repro.traj.{MatchedRoute, Traj}
+import repro.recovery.Recoverer
+import repro.traj.{MatchedRoute, Recovered, Traj}
 import scala.collection.mutable
 
-/** RNTrajRec "modified to only return routes" (paper Table V): run the
-  * trained RNTrajRec recovery model over the dense timeline and extract
-  * the route from the recovered segment sequence (consecutive-deduped,
-  * planner-stitched to connectivity). The per-point segments are the
-  * recovered segments at the observed slots.
+/** RNTrajRec "modified to only return routes" (paper Table V): the route of
+  * a trained RNTrajRec recovery, its recovered segment sequence
+  * consecutive-deduped and planner-stitched to connectivity. The per-point
+  * segments are the recovered segments at the observed slots.
   */
-final class RnTrajRecMm(val model: SeqRecModel, planner: RoutePlanner) extends MapMatcher {
-  require(model.cfg.kind == "rntrajrec")
-  val name = "RNTrajRec"
-
-  def matchTraj(t: Traj): MatchedRoute = {
-    val rec = model.recover(t)
-    val obsTimes = t.sparse.map(p => math.round(p.t * 1000)).toSet
-    val per = rec.points.filter(p => obsTimes.contains(math.round(p.t * 1000))).map(_.seg)
+final class RnTrajRecMm(planner: RoutePlanner, epsilon: Double) extends Serializable {
+  /** The route of `rec`, RNTrajRec's recovery of `t`. */
+  def route(t: Traj, rec: Recovered): MatchedRoute = {
+    val tl = Recoverer.slotTimeline(t, epsilon)
+    val per = (0 until tl.length).filter(tl.observed).map(rec.points(_).seg).toArray
     val dedup = mutable.ListBuffer.empty[Int]
     rec.points.foreach(p => if (dedup.isEmpty || dedup.last != p.seg) dedup += p.seg)
     MatchedRoute(t.id, per, planner.stitch(dedup.toList).toArray)

@@ -2,11 +2,11 @@ package repro.recovery
 
 import repro.geo.{Geo, RoadNetwork, XY}
 import repro.mm.MapMatcher
-import repro.traj.{MatchedPoint, Recovered, Traj}
+import repro.traj.{MatchedPoint, MatchedRoute, Recovered, Traj}
 
 /** Baseline `Linear` (paper VI-A) and the ablation combinations
-  * `MMA+linear` / `Nearest+linear` (Table IV): map-match the sparse points
-  * with the given matcher, then fill every missing epsilon-slot by
+  * `MMA+linear` / `Nearest+linear` (Table IV): take the sparse points as
+  * `matcher` matched them, then fill every missing epsilon-slot by
   * constant-speed linear interpolation of arc length along the route.
   *
   * No learning: exactly right when vehicles move at constant speed, and
@@ -15,13 +15,12 @@ import repro.traj.{MatchedPoint, Recovered, Traj}
   */
 final class LinearInterp(
     net: RoadNetwork,
-    matcher: MapMatcher,
+    val matcher: MapMatcher,
     epsilon: Double,
     override val name: String,
-) extends Recoverer {
+) extends RouteRecoverer {
 
-  def recover(t: Traj): Recovered = {
-    val mr = matcher.matchTraj(t)
+  def recover(t: Traj, mr: MatchedRoute): Recovered = {
     val route = mr.routeOrFallback
     val arc = new RouteArc(net, route)
     // Matched point of each sparse point: (route position, ratio).

@@ -1,7 +1,8 @@
 package repro.recovery
 
 import repro.geo.XY
-import repro.traj.{GpsPoint, Recovered, Traj}
+import repro.mm.MapMatcher
+import repro.traj.{GpsPoint, MatchedRoute, Recovered, Traj}
 import scala.collection.mutable
 
 /** A trajectory-recovery method: from the sparse observed points of `t`,
@@ -12,6 +13,20 @@ import scala.collection.mutable
 trait Recoverer extends Serializable {
   def name: String
   def recover(t: Traj): Recovered
+}
+
+/** A recoverer that works along a map matcher's output (Algorithm 2 takes
+  * MMA's route as its input): TRMMA and Linear. `recover(t, mr)` reads
+  * only the given `mr`, so one pass of `matcher` over a test set can feed
+  * every recoverer built on it.
+  */
+trait RouteRecoverer extends Recoverer {
+  def matcher: MapMatcher
+
+  /** Recover `t` along `mr`, `matcher`'s output for `t` or its equal. */
+  def recover(t: Traj, mr: MatchedRoute): Recovered
+
+  final def recover(t: Traj): Recovered = recover(t, matcher.matchTraj(t))
 }
 
 /** The dense epsilon-timeline a recoverer fills: slot j has timestamp

@@ -1,6 +1,6 @@
 package repro.traj
 
-import repro.geo.{LatLng, RoadNetwork}
+import repro.geo.RoadNetwork
 
 /** The four synthetic cities mirroring the paper's Table II datasets.
   *
@@ -16,27 +16,25 @@ object Datasets {
     case "PT" =>
       CityData(
         RoadNetwork.generate(RoadNetwork.CityConfig(
-          "PT", LatLng(41.157, -8.63), gridW = 24, gridH = 12, spacingM = 230, seed = 41)),
+          "PT", gridW = 24, gridH = 12, spacingM = 230, seed = 41)),
         GenConfig(epsilon = 15, avgPoints = 40, speedMinMs = 6, speedMaxMs = 12))
     case "XA" =>
       CityData(
         RoadNetwork.generate(RoadNetwork.CityConfig(
-          "XA", LatLng(34.26, 108.95), gridW = 16, gridH = 15, spacingM = 180, seed = 42)),
+          "XA", gridW = 16, gridH = 15, spacingM = 180, seed = 42)),
         GenConfig(epsilon = 12, avgPoints = 68, speedMinMs = 5, speedMaxMs = 10))
     case "BJ" =>
       CityData(
         RoadNetwork.generate(RoadNetwork.CityConfig(
-          "BJ", LatLng(39.9, 116.4), gridW = 30, gridH = 30, spacingM = 320, seed = 43)),
+          "BJ", gridW = 30, gridH = 30, spacingM = 320, seed = 43)),
         GenConfig(epsilon = 60, avgPoints = 31, speedMinMs = 6, speedMaxMs = 11))
     case "CD" =>
       CityData(
         RoadNetwork.generate(RoadNetwork.CityConfig(
-          "CD", LatLng(30.66, 104.06), gridW = 18, gridH = 17, spacingM = 200, seed = 44)),
+          "CD", gridW = 18, gridH = 17, spacingM = 200, seed = 44)),
         GenConfig(epsilon = 12, avgPoints = 54, speedMinMs = 5, speedMaxMs = 10))
     case other => throw new IllegalArgumentException(s"unknown city $other")
   }
-
-  val names: Seq[String] = Seq("PT", "XA", "BJ", "CD")
 
   private val cache = new java.util.concurrent.ConcurrentHashMap[String, CityData]()
 

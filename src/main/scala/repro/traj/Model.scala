@@ -1,8 +1,8 @@
 package repro.traj
 
 /** An observed GPS point in city-local planar metres with timestamp seconds.
-  * (Lat/lng are recoverable through the network's projection; all models and
-  * metrics work in the planar frame.)
+  * (The synthetic cities are generated in this frame; all models and metrics
+  * work in it.)
   */
 final case class GpsPoint(x: Double, y: Double, t: Double) extends Serializable
 

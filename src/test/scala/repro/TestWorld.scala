@@ -1,6 +1,6 @@
 package repro
 
-import repro.geo.{Geo, LatLng, RoadNetwork, RoutePlanner, Segment, XY}
+import repro.geo.{RoadNetwork, RoutePlanner, Segment, XY}
 import repro.nn.{Node2Vec, Tensor}
 import repro.traj.{GenConfig, Traj, TrajGen}
 
@@ -10,7 +10,7 @@ import repro.traj.{GenConfig, Traj, TrajGen}
   */
 object TestWorld {
   val net: RoadNetwork = RoadNetwork.generate(
-    RoadNetwork.CityConfig("tw", LatLng(41.15, -8.6), gridW = 10, gridH = 9, spacingM = 190, seed = 33))
+    RoadNetwork.CityConfig("tw", gridW = 10, gridH = 9, spacingM = 190, seed = 33))
 
   val cfg: GenConfig = GenConfig(epsilon = 15, gamma = 0.1, avgPoints = 36)
 
@@ -30,7 +30,7 @@ object TestWorld {
     val nodes = Array(XY(0, 0), XY(100, 0), XY(200, 0))
     def seg(id: Int, from: Int, to: Int) =
       Segment(id, from, to, nodes(from), nodes(to), nodes(from).dist(nodes(to)))
-    new RoadNetwork("one-way", Geo.Projection(LatLng(41.15, -8.6)), nodes,
+    new RoadNetwork("one-way", nodes,
       Array(seg(0, 0, 1), seg(1, 1, 0), seg(2, 1, 2)))
   }
 }

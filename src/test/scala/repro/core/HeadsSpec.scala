@@ -83,7 +83,7 @@ class HeadsSpec extends AnyFunSuite {
     val rec = new Trmma(trmma, new TruthMatcher, cfg.epsilon)
     var worstR = 0.0; var slots = 0
     val flips = testSet.flatMap { t =>
-      val (s, times) = rec.prepare(t)
+      val (s, times) = rec.prepare(t, rec.matcher.matchTraj(t))
       val out = trmma.decode(s, times)
       val ref = ReferenceHeads.decode(trmma, s, times)
       slots += out.length

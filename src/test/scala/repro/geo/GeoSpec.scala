@@ -3,28 +3,6 @@ package repro.geo
 import org.scalatest.funsuite.AnyFunSuite
 
 class GeoSpec extends AnyFunSuite {
-  private val origin = LatLng(41.15, -8.6)
-  private val proj = Geo.Projection(origin)
-
-  test("projection round-trips") {
-    val p = LatLng(41.2, -8.55)
-    val back = proj.toLatLng(proj.toXY(p))
-    assert(math.abs(back.lat - p.lat) < 1e-9)
-    assert(math.abs(back.lng - p.lng) < 1e-9)
-  }
-
-  test("projection distance matches haversine at city scale") {
-    val a = LatLng(41.15, -8.60)
-    val b = LatLng(41.19, -8.55)
-    val dProj = proj.toXY(a).dist(proj.toXY(b))
-    val dHav = Geo.haversineM(a, b)
-    assert(math.abs(dProj - dHav) / dHav < 0.002, s"$dProj vs $dHav")
-  }
-
-  test("origin maps to (0,0)") {
-    val xy = proj.toXY(origin)
-    assert(math.abs(xy.x) < 1e-9 && math.abs(xy.y) < 1e-9)
-  }
 
   test("projectRatio endpoints and midpoint") {
     val a = XY(0, 0); val b = XY(10, 0)

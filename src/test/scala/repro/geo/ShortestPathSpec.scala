@@ -7,7 +7,7 @@ import scala.util.Random
 class ShortestPathSpec extends AnyFunSuite {
 
   private val net = RoadNetwork.generate(
-    RoadNetwork.CityConfig("test", LatLng(41.15, -8.6), gridW = 7, gridH = 6, spacingM = 150, seed = 3))
+    RoadNetwork.CityConfig("test", gridW = 7, gridH = 6, spacingM = 150, seed = 3))
 
   private def floydWarshall(n: RoadNetwork): Array[Array[Double]] = {
     val m = n.numNodes
@@ -159,7 +159,7 @@ class ShortestPathSpec extends AnyFunSuite {
   test("searches break ties exactly as the PriorityQueue search did") {
     // No jitter: every block is 150 m, so many routes tie in length and the
     // pop order of equal keys decides which one comes back.
-    val flat = RoadNetwork.generate(RoadNetwork.CityConfig("flat", LatLng(41.15, -8.6),
+    val flat = RoadNetwork.generate(RoadNetwork.CityConfig("flat",
       gridW = 8, gridH = 7, spacingM = 150, jitterFrac = 0.0, seed = 5))
     val rnd = new Random(29)
     val routes = Seq.fill(60)(ReferenceSearch.nodePathSegments(flat,

@@ -80,6 +80,21 @@ class MatcherSpec extends AnyFunSuite {
     }
   }
 
+  test("RNTrajRec's route takes the recovered segments at the observed slots") {
+    val m = repro.recovery.SeqRecModel.init(net, repro.recovery.SeqRecConfig("rntrajrec"), cfg.epsilon, node2vec)
+    val rn = new RnTrajRecMm(planner, cfg.epsilon)
+    testSet.take(10).foreach { t =>
+      val rec = m.recover(t)
+      val mr = rn.route(t, rec)
+      assert(mr.perPoint.toSeq == t.sparseIdxInDense.toSeq.map(rec.points(_).seg))
+      rec.points.foreach(p => assert(mr.route.contains(p.seg)))
+      mr.route.toSeq.sliding(2).foreach {
+        case Seq(a, b) => assert(net.segments(a).to == net.segments(b).from, s"$a->$b")
+        case _         => ()
+      }
+    }
+  }
+
   test("GraphMM trains and predicts candidates near the point") {
     val gm = GraphMmModel.init(net, node2vec)
     val l0 = { implicit val tp: repro.nn.Tape = repro.nn.NoTape; gm.loss(trainSet.head).data(0) }

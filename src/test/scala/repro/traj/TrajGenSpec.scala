@@ -1,12 +1,12 @@
 package repro.traj
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.geo.{Geo, RoadNetwork, LatLng, XY}
+import repro.geo.{RoadNetwork, XY}
 
 class TrajGenSpec extends AnyFunSuite {
 
   private val net = RoadNetwork.generate(
-    RoadNetwork.CityConfig("t", LatLng(41.15, -8.6), gridW = 10, gridH = 10, spacingM = 180, seed = 21))
+    RoadNetwork.CityConfig("t", gridW = 10, gridH = 10, spacingM = 180, seed = 21))
   private val cfg = GenConfig(epsilon = 15, gamma = 0.1, avgPoints = 40)
   private lazy val trajs = TrajGen.generateLocal(net, cfg, 80, seed = 1)
 
