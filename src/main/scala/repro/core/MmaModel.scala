@@ -5,20 +5,15 @@ import repro.nn._
 import repro.traj.Traj
 import scala.util.Random
 
-/** Hyperparameters of MMA (paper Section IV-B; widths scaled per DESIGN §3). */
+/** The paper's Table IV ablation flags of MMA. Its widths and k_c are
+  * constants of [[MmaModel]] (paper Section IV-B, scaled per DESIGN §3).
+  */
 final case class MmaConfig(
-    kc: Int = 10,
-    d0: Int = 32,  // segment embedding dim (paper 64)
-    d1: Int = 64,  // candidate MLP hidden (paper 128)
-    d2: Int = 32,  // point/candidate embedding dim (paper 64)
-    d3: Int = 64,  // attention MLP hidden (paper 256)
-    heads: Int = 2,
-    layers: Int = 2,
-    dFfn: Int = 128,
-    // Ablation flags (paper Table IV):
     useContext: Boolean = true,      // off => TRMMA-C variant of MMA
     useDirectional: Boolean = true,  // off => TRMMA-DI variant of MMA
-) extends Serializable
+) extends Serializable {
+  def kc: Int = MmaModel.Kc
+}
 
 /** A prepared MMA training/inference sample: per-point candidate sets,
   * directional features and normalised inputs, computed once per trajectory
@@ -233,11 +228,7 @@ final class MmaModel(
     val scorer = new Scorer(encodePoints(s))
     s.cands.indices.map { i =>
       val logits = scorer.logits(i, candEmbed(s, i))
-      var best = 0
-      var bv = Double.NegativeInfinity
-      var j = 0
-      while (j < logits.rows) { if (logits(j, 0) > bv) { bv = logits(j, 0); best = j }; j += 1 }
-      s.cands(i)(best)
+      s.cands(i)(logits.argmax(0, logits.size))
     }.toArray
   }
 }
@@ -249,29 +240,34 @@ object MmaModel {
     */
   val NumFeats = 11
 
-  def init(net: RoadNetwork, cfg: MmaConfig, node2vec: Tensor, seed: Long = 13L): MmaModel = {
-    val rnd = new Random(seed)
-    require(node2vec.rows == net.numSegments && node2vec.cols == cfg.d0)
+  /** Candidate segments per GPS point, k_c (paper Section IV-B). */
+  val Kc = 10
+  private val D1 = 64  // candidate MLP hidden (paper 128)
+  private val D2 = 32  // point/candidate embedding dim (paper 64)
+  private val D3 = 64  // attention MLP hidden (paper 256)
+  private val Heads = 2
+  private val Layers = 2
+  private val DFfn = 128
+
+  /** MMA over a Node2Vec table, whose width is the segment embedding's d0
+    * (32 in the harness, paper 64).
+    */
+  def init(net: RoadNetwork, cfg: MmaConfig, node2vec: Tensor): MmaModel = {
+    val rnd = new Random(13L)
+    require(node2vec.rows == net.numSegments)
     new MmaModel(cfg, net,
       Embedding.fromPretrained(node2vec),
-      Mlp(cfg.d0 + MmaModel.NumFeats, cfg.d1, cfg.d2, rnd),
-      Linear(7, cfg.d2, rnd),
-      TransformerEncoder(cfg.d2, cfg.heads, cfg.dFfn, cfg.layers, rnd),
-      Mlp(2 * cfg.d2, cfg.d3, 1, rnd))
+      Mlp(node2vec.cols + NumFeats, D1, D2, rnd),
+      Linear(7, D2, rnd),
+      TransformerEncoder(D2, Heads, DFfn, Layers, rnd),
+      Mlp(2 * D2, D3, 1, rnd))
   }
 
   /** Train on prepared samples with Adam; returns per-epoch mean losses. */
-  def train(
-      model: MmaModel,
-      trajs: IndexedSeq[Traj],
-      epochs: Int = 3,
-      batchSize: Int = 32,
-      lr: Double = 1e-3,
-      seed: Long = 17L,
-      log: String => Unit = _ => (),
-  ): Seq[Double] = {
+  def train(model: MmaModel, trajs: IndexedSeq[Traj], epochs: Int = 3,
+            log: String => Unit = _ => ()): Seq[Double] = {
     val samples = trajs.map(model.prepare(_, withLabels = true))
-    Trainer.fit(samples, model.params, new Adam(model.params, lr = lr), epochs, batchSize, seed,
-      "MMA", log)((s, tp) => model.loss(s)(tp))
+    Trainer.fit(samples, model.params, new Adam(model.params, lr = 1e-3), epochs, batchSize = 32,
+      seed = 17L, label = "MMA", log = log)((s, tp) => model.loss(s)(tp))
   }
 }

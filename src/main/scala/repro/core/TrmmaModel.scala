@@ -6,16 +6,14 @@ import repro.recovery.RouteArc
 import repro.traj.{MatchedPoint, Traj}
 import scala.util.Random
 
-/** Hyperparameters of TRMMA (paper Section V; widths scaled per DESIGN §3). */
+/** The paper's Table IV ablation flag of TRMMA. Its widths and λ are
+  * constants of [[TrmmaModel]] (paper Section V, scaled per DESIGN §3).
+  */
 final case class TrmmaConfig(
-    d0: Int = 32,     // segment id embedding dim inside T0 (paper 64)
-    dh: Int = 32,     // transformer model dim (paper 64)
-    heads: Int = 2,   // paper 4
-    layers: Int = 2,  // DualFormer layers (paper 4)
-    dFfn: Int = 128,  // paper 512
-    lambda: Double = 5.0, // ratio-loss weight (Eq. 21)
     useDualFormer: Boolean = true, // off => TRMMA-DF (H = R)
-) extends Serializable
+) extends Serializable {
+  def lambda: Double = TrmmaModel.Lambda
+}
 
 /** A prepared TRMMA sample: encoder inputs plus the decoder walk over the
   * dense timeline.
@@ -246,7 +244,7 @@ final class TrmmaModel(
         val lSeg = Ops.bceLogitsSum(wWin, labels)
         val r = heads.ratioHead(h, lo, hi, wWin, kTrue, geo)
         val lR = Ops.maeSum(r, Array(s.denseR(j)))
-        val l = Ops.add(lSeg, Ops.scale(lR, cfg.lambda))
+        val l = Ops.add(lSeg, Ops.scale(lR, TrmmaModel.Lambda))
         lossAcc = if (lossAcc == null) l else Ops.add(lossAcc, l)
       }
       j += 1
@@ -287,14 +285,7 @@ final class TrmmaModel(
         val w = heads.classLogits(h, lo, hi, geo)
         // Order constraint (Eq. 17) extended with the gap's right anchor:
         // candidates from max(prev position, left anchor) to right anchor.
-        val kFrom = math.max(prevPos, lo)
-        var best = kFrom
-        var bv = Double.NegativeInfinity
-        var k = kFrom
-        while (k <= hi) {
-          if (w(k - lo, 0) > bv) { bv = w(k - lo, 0); best = k }
-          k += 1
-        }
+        val best = lo + w.argmax(math.max(prevPos, lo) - lo, hi + 1 - lo)
         val r = heads.ratioHead(h, lo, hi, w, best - lo, geo).data(0)
         prevSeg = s.route(best); prevR = math.min(0.999999, r); prevPos = best
         out(j) = MatchedPoint(prevSeg, prevR, denseT(j))
@@ -307,34 +298,38 @@ final class TrmmaModel(
 
 object TrmmaModel {
 
-  def init(net: RoadNetwork, cfg: TrmmaConfig, node2vec: Tensor, seed: Long = 19L): TrmmaModel = {
-    val rnd = new Random(seed)
-    require(node2vec.rows == net.numSegments && node2vec.cols == cfg.d0)
+  private val Dh = 32      // transformer model dim (paper 64)
+  private val Heads = 2    // paper 4
+  private val Layers = 2   // DualFormer layers (paper 4)
+  private val DFfn = 128   // paper 512
+  /** Ratio-loss weight λ (Eq. 21). */
+  val Lambda = 5.0
+
+  /** TRMMA over a Node2Vec table, whose width is d0, the segment id
+    * embedding inside T0 (32 in the harness, paper 64).
+    */
+  def init(net: RoadNetwork, cfg: TrmmaConfig, node2vec: Tensor): TrmmaModel = {
+    val rnd = new Random(19L)
+    require(node2vec.rows == net.numSegments)
+    val d0 = node2vec.cols
     new TrmmaModel(cfg, net,
       Embedding.fromPretrained(node2vec),
-      Linear(4 + cfg.d0, cfg.dh, rnd),
-      TransformerEncoder(cfg.dh, cfg.heads, cfg.dFfn, cfg.layers, rnd),
-      Embedding(net.numSegments, cfg.dh, rnd),
-      Linear(cfg.dh + 3, cfg.dh, rnd),
-      TransformerEncoder(cfg.dh, cfg.heads, cfg.dFfn, cfg.layers, rnd),
-      GruCell(cfg.d0 + 6, cfg.dh, rnd),
-      Mlp(2 * cfg.dh + 8, 64, 1, rnd),
+      Linear(4 + d0, Dh, rnd),
+      TransformerEncoder(Dh, Heads, DFfn, Layers, rnd),
+      Embedding(net.numSegments, Dh, rnd),
+      Linear(Dh + 3, Dh, rnd),
+      TransformerEncoder(Dh, Heads, DFfn, Layers, rnd),
+      GruCell(d0 + 6, Dh, rnd),
+      Mlp(2 * Dh + 8, 64, 1, rnd),
       Mlp(8, 32, 1, rnd),
-      Mlp(3 * cfg.dh + 8, 64, 1, rnd),
+      Mlp(3 * Dh + 8, 64, 1, rnd),
       Mlp(8, 32, 1, rnd))
   }
 
-  def train(
-      model: TrmmaModel,
-      trajs: IndexedSeq[Traj],
-      epochs: Int = 10,
-      batchSize: Int = 16,
-      lr: Double = 2e-3,
-      seed: Long = 23L,
-      log: String => Unit = _ => (),
-  ): Seq[Double] = {
+  def train(model: TrmmaModel, trajs: IndexedSeq[Traj], epochs: Int = 10,
+            log: String => Unit = _ => ()): Seq[Double] = {
     val samples = trajs.map(model.prepareTrain)
-    Trainer.fit(samples, model.params, new Adam(model.params, lr = lr, clipNorm = 50.0), epochs,
-      batchSize, seed, "TRMMA", log)((s, tp) => model.loss(s)(tp))
+    Trainer.fit(samples, model.params, new Adam(model.params, lr = 2e-3, clipNorm = 50.0), epochs,
+      batchSize = 16, seed = 23L, label = "TRMMA", log = log)((s, tp) => model.loss(s)(tp))
   }
 }

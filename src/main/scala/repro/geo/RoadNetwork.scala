@@ -106,15 +106,17 @@ object RoadNetwork {
       gridH: Int,
       spacingM: Double,
       jitterFrac: Double = 0.25,
-      extraEdgeKeepProb: Double = 0.75,
       seed: Long = 7L,
   )
+
+  /** Probability that a lattice edge outside the spanning tree is kept. */
+  private final val ExtraEdgeKeepProb = 0.75
 
   /** Generate a synthetic city: a jittered `gridW x gridH` lattice of
     * intersections, connected by a random spanning tree (guaranteeing the
     * undirected graph — hence, with two-way roads, the directed graph — is
     * connected) plus each remaining lattice edge kept with probability
-    * `extraEdgeKeepProb`. Every kept road contributes two directed segments.
+    * `ExtraEdgeKeepProb`. Every kept road contributes two directed segments.
     */
   def generate(cfg: CityConfig): RoadNetwork = {
     val rnd = new Random(cfg.seed)
@@ -142,7 +144,7 @@ object RoadNetwork {
     shuffled.foreach { case (u, v) =>
       val ru = find(u); val rv = find(v)
       if (ru != rv) { parent(ru) = rv; kept += ((u, v)) }
-      else if (rnd.nextDouble() < cfg.extraEdgeKeepProb) kept += ((u, v))
+      else if (rnd.nextDouble() < ExtraEdgeKeepProb) kept += ((u, v))
     }
     // Road-class speed factors: every 4th grid line is an arterial (fast),
     // lines two off arterials are side streets (slow), the rest normal; a

@@ -72,8 +72,10 @@ final class RoutePlanner(
 
 object RoutePlanner {
 
-  /** Fit transition counts from historical routes (sequences of segment ids). */
-  def fit(net: RoadNetwork, routes: Iterable[Seq[Int]], beta: Double = 30.0): RoutePlanner = {
+  /** Fit transition counts from historical routes (sequences of segment
+    * ids); `beta` is 30 metres per nat.
+    */
+  def fit(net: RoadNetwork, routes: Iterable[Seq[Int]]): RoutePlanner = {
     val counts = mutable.HashMap.empty[Long, Int]
     val totals = mutable.HashMap.empty[Int, Int]
     routes.foreach { r =>
@@ -85,7 +87,7 @@ object RoutePlanner {
         case _ => ()
       }
     }
-    new RoutePlanner(net, counts.toMap, totals.toMap, beta)
+    new RoutePlanner(net, counts.toMap, totals.toMap, beta = 30.0)
   }
 
   /** A planner with no historical statistics — pure shortest path costs. */

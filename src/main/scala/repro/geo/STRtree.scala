@@ -110,8 +110,7 @@ object STRtree {
     val n = entries.length
     val nNodes = math.ceil(n.toDouble / Capacity).toInt
     val nSlices = math.max(1, math.ceil(math.sqrt(nNodes.toDouble)).toInt)
-    val sliceSize = math.max(1, math.ceil(n.toDouble / nSlices).toInt) * 1 // entries per vertical slice
-    val perSlice = sliceSize
+    val perSlice = math.max(1, math.ceil(n.toDouble / nSlices).toInt) // entries per vertical slice
     val byX = entries.sortBy(_._1.centerX)
     val out = mutable.ArrayBuffer.empty[N]
     byX.grouped(perSlice).foreach { slice =>

@@ -55,27 +55,22 @@ final class DeepMmModel(
   def predictSegments(t: Traj): Array[Int] = {
     implicit val tp: Tape = NoTape
     val lg = logits(t)
-    Array.tabulate(t.sparse.length) { i =>
-      var best = 0; var bv = Double.NegativeInfinity
-      var j = 0
-      while (j < lg.cols) { if (lg(i, j) > bv) { bv = lg(i, j); best = j }; j += 1 }
-      best
-    }
+    Array.tabulate(t.sparse.length)(i => lg.argmax(i * lg.cols, (i + 1) * lg.cols) - i * lg.cols)
   }
 }
 
 object DeepMmModel {
-  def init(net: RoadNetwork, dh: Int = 32, seed: Long = 53L): DeepMmModel = {
-    val rnd = new Random(seed)
+  def init(net: RoadNetwork): DeepMmModel = {
+    val rnd = new Random(53L)
+    val dh = 32 // model width
     new DeepMmModel(net, Linear(3, dh, rnd),
       TransformerEncoder(dh, 2, 128, 2, rnd), Embedding(net.numSegments, dh, rnd))
   }
 
   def train(model: DeepMmModel, trajs: IndexedSeq[Traj], epochs: Int = 10,
-            batchSize: Int = 16, lr: Double = 2e-3, seed: Long = 59L,
             log: String => Unit = _ => ()): Seq[Double] = {
-    Trainer.fit(trajs, model.params, new Adam(model.params, lr = lr), epochs, batchSize, seed,
-      "DeepMM", log)((t, tp) => model.loss(t)(tp))
+    Trainer.fit(trajs, model.params, new Adam(model.params, lr = 2e-3), epochs, batchSize = 16,
+      seed = 59L, label = "DeepMM", log = log)((t, tp) => model.loss(t)(tp))
   }
 }
 

@@ -1,5 +1,6 @@
 package repro.mm
 
+import repro.core.MmaModel
 import repro.geo.{Geo, RoadNetwork, RoutePlanner, XY}
 import repro.nn._
 import repro.traj.Traj
@@ -10,11 +11,11 @@ import scala.util.Random
   * graph embeddings plus the (graph-aggregated) embeddings of the previous
   * and next points' nearest segments — capturing road/trajectory topology
   * correlation — with a proximity feature. Deliberately WITHOUT MMA's
-  * sequence transformer and directional cosines, per its design.
+  * sequence transformer and directional cosines, per its design. Its
+  * candidates are the same top-k_c as MMA's.
   */
 final class GraphMmModel(
     val net: RoadNetwork,
-    val kc: Int,
     val node2vec: Tensor,
     val scorer: Mlp, // [cand n2v ; prev ctx n2v ; next ctx n2v ; prox] -> 1
 ) extends Module {
@@ -35,7 +36,7 @@ final class GraphMmModel(
 
   def candFeatures(t: Traj, i: Int): (Array[Int], Array[Array[Double]]) = {
     val p = XY(t.sparse(i).x, t.sparse(i).y)
-    val cands = net.nearestSegments(p, kc)
+    val cands = net.nearestSegments(p, MmaModel.Kc)
     val prevCtx = if (i > 0) ctxEmb(XY(t.sparse(i - 1).x, t.sparse(i - 1).y)) else new Array[Double](d0)
     val nextCtx = if (i + 1 < t.sparse.length) ctxEmb(XY(t.sparse(i + 1).x, t.sparse(i + 1).y)) else new Array[Double](d0)
     val rows = cands.map { sid =>
@@ -60,25 +61,19 @@ final class GraphMmModel(
     t.sparse.indices.map { i =>
       val (cands, rows) = candFeatures(t, i)
       val logits = scorer(Tensor.fromRows(rows.toIndexedSeq))
-      var best = 0; var bv = Double.NegativeInfinity
-      var j = 0
-      while (j < logits.rows) { if (logits(j, 0) > bv) { bv = logits(j, 0); best = j }; j += 1 }
-      cands(best)
+      cands(logits.argmax(0, logits.size))
     }.toArray
   }
 }
 
 object GraphMmModel {
-  def init(net: RoadNetwork, node2vec: Tensor, kc: Int = 10, seed: Long = 61L): GraphMmModel = {
-    val rnd = new Random(seed)
-    new GraphMmModel(net, kc, node2vec, Mlp(3 * node2vec.cols + 1, 64, 1, rnd))
-  }
+  def init(net: RoadNetwork, node2vec: Tensor): GraphMmModel =
+    new GraphMmModel(net, node2vec, Mlp(3 * node2vec.cols + 1, 64, 1, new Random(61L)))
 
   def train(model: GraphMmModel, trajs: IndexedSeq[Traj], epochs: Int = 6,
-            batchSize: Int = 16, lr: Double = 2e-3, seed: Long = 67L,
             log: String => Unit = _ => ()): Seq[Double] = {
-    Trainer.fit(trajs, model.params, new Adam(model.params, lr = lr), epochs, batchSize, seed,
-      "GraphMM", log)((t, tp) => model.loss(t)(tp))
+    Trainer.fit(trajs, model.params, new Adam(model.params, lr = 2e-3), epochs, batchSize = 16,
+      seed = 67L, label = "GraphMM", log = log)((t, tp) => model.loss(t)(tp))
   }
 }
 

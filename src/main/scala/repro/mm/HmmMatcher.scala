@@ -5,7 +5,7 @@ import repro.traj.Traj
 
 /** FMM-style HMM map matching (paper ref [28], after Newson & Krumm).
   *
-  * States per GPS point are its top-`k` nearest candidate segments.
+  * States per GPS point are its top-`K` nearest candidate segments.
   * Emission: Gaussian in the perpendicular distance (sigma = GPS noise).
   * Transition: exponential in the absolute difference between the road-
   * network distance of the projected points and their straight-line
@@ -15,35 +15,35 @@ import repro.traj.Traj
   *
   * Also reused to label `TRMMA-HMM` in the Table IV ablation.
   */
-final class HmmMatcher(
-    net: RoadNetwork,
-    protected val planner: RoutePlanner,
-    k: Int = 8,
-    sigmaM: Double = 5.0,
-    betaM: Double = 120.0,
-) extends PointMatcher {
+final class HmmMatcher(net: RoadNetwork, protected val planner: RoutePlanner) extends PointMatcher {
   val name = "FMM"
 
-  def matchPoints(t: Traj): Array[Int] =
-    HmmMatcher.viterbi(net, t, k, sigmaM, betaM, (_, _) => 0.0)
+  def matchPoints(t: Traj): Array[Int] = HmmMatcher.viterbi(net, t, (_, _) => 0.0)
 }
 
+/** The Newson–Krumm Viterbi and its constants, shared by FMM and LHMM. */
 object HmmMatcher {
 
-  /** Newson–Krumm Viterbi over each point's top-`k` candidate segments:
+  /** Candidate segments per GPS point. */
+  private[mm] final val K = 8
+  /** Emission sigma (m): the GPS noise. */
+  private final val SigmaM = 5.0
+  /** Transition scale (m) of |network distance - straight-line distance|. */
+  private final val BetaM = 120.0
+
+  /** Newson–Krumm Viterbi over each point's top-`K` candidate segments:
     * Gaussian emission in the perpendicular distance plus `emitBonus(i, sid)`,
     * transitions exponential in |directed network distance - straight-line
     * distance|. Returns the decoded segment of every sparse point.
     */
-  private[mm] def viterbi(net: RoadNetwork, t: Traj, k: Int, sigmaM: Double, betaM: Double,
-      emitBonus: (Int, Int) => Double): Array[Int] = {
+  private[mm] def viterbi(net: RoadNetwork, t: Traj, emitBonus: (Int, Int) => Double): Array[Int] = {
     val cache = new ShortestPath.DistCache(net)
     val pts = t.sparse.map(p => XY(p.x, p.y))
-    val cands = pts.map(p => net.nearestSegments(p, k))
+    val cands = pts.map(p => net.nearestSegments(p, K))
     val emit = Array.tabulate(pts.length) { i =>
       cands(i).map { sid =>
         val d = net.rtree.distTo(pts(i), sid)
-        -d * d / (2 * sigmaM * sigmaM) + emitBonus(i, sid)
+        -d * d / (2 * SigmaM * SigmaM) + emitBonus(i, sid)
       }
     }
     val ratio = Array.tabulate(pts.length)(i =>
@@ -63,7 +63,7 @@ object HmmMatcher {
         var kk = 0
         while (kk < cands(i - 1).length) {
           val sk = cands(i - 1)(kk)
-          val s = score(i - 1)(kk) - math.abs(cache.directedDist(sk, ratio(i - 1)(kk), sj, rj) - gc) / betaM
+          val s = score(i - 1)(kk) - math.abs(cache.directedDist(sk, ratio(i - 1)(kk), sj, rj) - gc) / BetaM
           if (s > best) { best = s; bestK = kk }
           kk += 1
         }

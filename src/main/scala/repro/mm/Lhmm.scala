@@ -8,15 +8,13 @@ import scala.util.Random
   * by knowledge learned from data. The learned component here is a logistic
   * model over per-candidate features (perpendicular distance + the four
   * directional cosines); its log-odds are added to the Gaussian emission of
-  * the base HMM, while transitions stay Newson-Krumm. Trained with plain
-  * SGD on the candidate classification labels of the training split.
+  * the base HMM (FMM's, with its constants), while transitions stay
+  * Newson-Krumm. Trained with plain SGD on the candidate classification
+  * labels of the training split.
   */
 final class Lhmm(
     net: RoadNetwork,
     protected val planner: RoutePlanner,
-    k: Int = 8,
-    sigmaM: Double = 5.0,
-    betaM: Double = 120.0,
     val weights: Array[Double] = new Array[Double](6), // 5 feats + bias
 ) extends PointMatcher {
   val name = "LHMM"
@@ -39,23 +37,24 @@ final class Lhmm(
   }
 
   def matchPoints(t: Traj): Array[Int] =
-    HmmMatcher.viterbi(net, t, k, sigmaM, betaM, (i, sid) => logOdds(feats(t, i, sid)))
+    HmmMatcher.viterbi(net, t, (i, sid) => logOdds(feats(t, i, sid)))
 }
 
 object Lhmm {
-  /** Fit the logistic emission weights by SGD on candidate labels. */
-  def train(net: RoadNetwork, planner: RoutePlanner, trajs: IndexedSeq[Traj],
-            k: Int = 8, epochs: Int = 3, lr: Double = 0.1, seed: Long = 47L): Lhmm = {
+  /** Fit the logistic emission weights by 3 epochs of SGD (rate 0.1) on the
+    * labels of the HMM's candidates.
+    */
+  def train(net: RoadNetwork, planner: RoutePlanner, trajs: IndexedSeq[Traj]): Lhmm = {
     val w = new Array[Double](6)
-    val m = new Lhmm(net, planner, k = k, weights = w)
-    val rnd = new Random(seed)
-    (1 to epochs).foreach { _ =>
+    val m = new Lhmm(net, planner, weights = w)
+    val rnd = new Random(47L)
+    (1 to 3).foreach { _ =>
       rnd.shuffle(trajs).foreach { t =>
         t.sparse.indices.foreach { i =>
-          net.nearestSegments(XY(t.sparse(i).x, t.sparse(i).y), k).foreach { sid =>
+          net.nearestSegments(XY(t.sparse(i).x, t.sparse(i).y), HmmMatcher.K).foreach { sid =>
             val f = m.feats(t, i, sid)
             val label = if (sid == t.sparseTruthSeg(i)) 1.0 else 0.0
-            val g = lr * (label - 1.0 / (1.0 + math.exp(-m.logOdds(f))))
+            val g = 0.1 * (label - 1.0 / (1.0 + math.exp(-m.logOdds(f))))
             var j = 0
             while (j < 5) { w(j) += g * f(j); j += 1 }
             w(5) += g

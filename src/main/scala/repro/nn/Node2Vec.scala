@@ -15,27 +15,23 @@ import scala.util.Random
   */
 object Node2Vec {
 
-  def train(
-      net: RoadNetwork,
-      dim: Int,
-      walksPerSeg: Int = 4,
-      walkLen: Int = 12,
-      window: Int = 3,
-      negatives: Int = 6,
-      epochs: Int = 2,
-      lr: Double = 0.025,
-      seed: Long = 11L,
-  ): Tensor = {
+  private final val WalkLen = 12
+  private final val Window = 3
+  private final val Negatives = 6  // negative samples per positive pair
+  private final val Lr = 0.025     // first epoch's SGD rate, then x0.7 per epoch
+
+  def train(net: RoadNetwork, dim: Int, walksPerSeg: Int = 4, epochs: Int = 2,
+            seed: Long = 11L): Tensor = {
     val n = net.numSegments
     val rnd = new Random(seed)
     val win = Array.fill(n * dim)((rnd.nextDouble() - 0.5) / dim)
     val wout = Array.fill(n * dim)((rnd.nextDouble() - 0.5) / dim)
 
     def walk(start: Int): Array[Int] = {
-      val w = new Array[Int](walkLen)
+      val w = new Array[Int](WalkLen)
       var cur = start
       var i = 0
-      while (i < walkLen) {
+      while (i < WalkLen) {
         w(i) = cur
         val nxt = net.nextSegments(cur)
         cur = if (nxt.isEmpty) start else nxt(rnd.nextInt(nxt.length))
@@ -44,7 +40,7 @@ object Node2Vec {
       w
     }
 
-    var lrNow = lr
+    var lrNow = Lr
     def sgnsPair(center: Int, context: Int, label: Double, gradCenter: Array[Double]): Unit = {
       var dot = 0.0
       var j = 0
@@ -68,15 +64,15 @@ object Node2Vec {
         while (wk < walksPerSeg) {
           val w = walk(s)
           var i = 0
-          while (i < walkLen) {
-            val lo = math.max(0, i - window); val hi = math.min(walkLen - 1, i + window)
+          while (i < WalkLen) {
+            val lo = math.max(0, i - Window); val hi = math.min(WalkLen - 1, i + Window)
             var c = lo
             while (c <= hi) {
               if (c != i) {
                 java.util.Arrays.fill(gradCenter, 0.0)
                 sgnsPair(w(i), w(c), 1.0, gradCenter)
                 var k = 0
-                while (k < negatives) {
+                while (k < Negatives) {
                   sgnsPair(w(i), rnd.nextInt(n), 0.0, gradCenter)
                   k += 1
                 }

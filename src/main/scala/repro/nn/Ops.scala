@@ -65,31 +65,6 @@ object Ops {
     y
   }
 
-  /** Broadcast-multiply every row of a (m x n) by a 1 x n row vector. */
-  def mulRow(a: Tensor, b: Tensor)(implicit tp: Tape): Tensor = {
-    require(b.rows == 1 && a.cols == b.cols, s"mulRow $a * $b")
-    val n = a.cols
-    val out = new Array[Double](a.size)
-    var r = 0
-    while (r < a.rows) { var c = 0; while (c < n) { val k = r * n + c; out(k) = a.data(k) * b.data(c); c += 1 }; r += 1 }
-    val y = new Tensor(a.rows, n, out)
-    if (tp.active) tp.record(y) { () =>
-      val dy = tp.grad(y); val da = tp.grad(a); val db = tp.grad(b)
-      var i = 0
-      while (i < a.rows) {
-        var j = 0
-        while (j < n) {
-          val g = dy(i * n + j)
-          da(i * n + j) += g * b.data(j)
-          db(j) += g * a.data(i * n + j)
-          j += 1
-        }
-        i += 1
-      }
-    }
-    y
-  }
-
   def mulElem(a: Tensor, b: Tensor)(implicit tp: Tape): Tensor = {
     require(a.rows == b.rows && a.cols == b.cols, s"mulElem $a * $b")
     val out = new Array[Double](a.size)
@@ -178,7 +153,7 @@ object Ops {
   }
 
   /** Row-wise layer normalisation with learnable gain/bias (both 1 x n). */
-  def layerNorm(x: Tensor, gain: Tensor, bias: Tensor, eps: Double = 1e-5)(implicit tp: Tape): Tensor = {
+  def layerNorm(x: Tensor, gain: Tensor, bias: Tensor)(implicit tp: Tape): Tensor = {
     require(gain.rows == 1 && bias.rows == 1 && gain.cols == x.cols && bias.cols == x.cols)
     val n = x.cols
     val xhat = new Array[Double](x.size)
@@ -192,7 +167,7 @@ object Ops {
       j = 0
       while (j < n) { val d = x(i, j) - mu; v += d * d; j += 1 }
       v /= n
-      val is = 1.0 / math.sqrt(v + eps)
+      val is = 1.0 / math.sqrt(v + 1e-5) // variance floor eps
       invStd(i) = is
       j = 0
       while (j < n) { xhat(i * n + j) = (x(i, j) - mu) * is; j += 1 }

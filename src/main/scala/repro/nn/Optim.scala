@@ -6,14 +6,9 @@ import scala.concurrent.{Await, ExecutionContext, Future}
 import scala.util.Random
 
 /** Adam optimiser with global-norm gradient clipping. */
-final class Adam(
-    params: Seq[Tensor],
-    lr: Double = 1e-3,
-    beta1: Double = 0.9,
-    beta2: Double = 0.999,
-    eps: Double = 1e-8,
-    clipNorm: Double = 5.0,
-) {
+final class Adam(params: Seq[Tensor], lr: Double = 1e-3, clipNorm: Double = 5.0) {
+  import Adam._
+
   private val m = params.map(p => new Array[Double](p.size)).toArray
   private val v = params.map(p => new Array[Double](p.size)).toArray
   private var t = 0
@@ -27,20 +22,26 @@ final class Adam(
     var norm2 = 0.0
     grads.foreach(g => { var i = 0; while (i < g.length) { norm2 += g(i) * g(i); i += 1 } })
     val scale = { val n = math.sqrt(norm2); if (n > clipNorm) clipNorm / n else 1.0 }
-    val bc1 = 1 - math.pow(beta1, t)
-    val bc2 = 1 - math.pow(beta2, t)
+    val bc1 = 1 - math.pow(Beta1, t)
+    val bc2 = 1 - math.pow(Beta2, t)
     params.indices.foreach { pi =>
       val p = params(pi).data; val g = grads(pi); val mp = m(pi); val vp = v(pi)
       var i = 0
       while (i < p.length) {
         val gi = g(i) * scale
-        mp(i) = beta1 * mp(i) + (1 - beta1) * gi
-        vp(i) = beta2 * vp(i) + (1 - beta2) * gi * gi
-        p(i) -= lr * (mp(i) / bc1) / (math.sqrt(vp(i) / bc2) + eps)
+        mp(i) = Beta1 * mp(i) + (1 - Beta1) * gi
+        vp(i) = Beta2 * vp(i) + (1 - Beta2) * gi * gi
+        p(i) -= lr * (mp(i) / bc1) / (math.sqrt(vp(i) / bc2) + Eps)
         i += 1
       }
     }
   }
+}
+
+object Adam {
+  private final val Beta1 = 0.9
+  private final val Beta2 = 0.999
+  private final val Eps = 1e-8
 }
 
 /** Data-parallel minibatch trainer: each worker thread forwards/backwards a
@@ -50,13 +51,11 @@ final class Adam(
   */
 object Trainer {
 
-  private lazy val pool = {
-    val threads = math.max(2, Runtime.getRuntime.availableProcessors() - 1)
-    ExecutionContext.fromExecutorService(Executors.newFixedThreadPool(threads, r => {
+  private lazy val nThreads = math.max(2, Runtime.getRuntime.availableProcessors() - 1)
+  private lazy val pool =
+    ExecutionContext.fromExecutorService(Executors.newFixedThreadPool(nThreads, r => {
       val t = new Thread(r, "nn-trainer"); t.setDaemon(true); t
     }))
-  }
-  private lazy val nThreads = math.max(2, Runtime.getRuntime.availableProcessors() - 1)
 
   /** Run one minibatch step. `lossOf` computes the scalar (1x1) loss of one
     * example on the given tape; returns the mean loss value over the batch.

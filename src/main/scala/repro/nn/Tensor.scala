@@ -23,6 +23,18 @@ final class Tensor(val rows: Int, val cols: Int, val data: Array[Double]) extend
   def apply(i: Int, j: Int): Double = data(i * cols + j)
   def size: Int = data.length
   def copyTensor(): Tensor = new Tensor(rows, cols, data.clone())
+
+  /** Index in `data` of the first maximum of `data[from, until)`. The strict
+    * `>` from -inf keeps the first of equal values, and `from` is returned
+    * when no value beats -inf (all -inf or NaN).
+    */
+  def argmax(from: Int, until: Int): Int = {
+    var best = from
+    var bv = Double.NegativeInfinity
+    var i = from
+    while (i < until) { if (data(i) > bv) { bv = data(i); best = i }; i += 1 }
+    best
+  }
   override def toString: String = s"Tensor(${rows}x$cols)"
 }
 

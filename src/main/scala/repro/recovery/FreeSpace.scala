@@ -59,10 +59,9 @@ abstract class FreeSpaceModel(
 
 object FreeSpaceModel {
   def train(model: FreeSpaceModel, trajs: IndexedSeq[Traj], epochs: Int = 10,
-            batchSize: Int = 16, lr: Double = 2e-3, seed: Long = 37L,
             log: String => Unit = _ => ()): Seq[Double] = {
-    Trainer.fit(trajs, model.params, new Adam(model.params, lr = lr), epochs, batchSize, seed,
-      "freespace", log)((t, tp) => model.loss(t)(tp))
+    Trainer.fit(trajs, model.params, new Adam(model.params, lr = 2e-3), epochs, batchSize = 16,
+      seed = 37L, label = "freespace", log = log)((t, tp) => model.loss(t)(tp))
   }
 }
 
@@ -100,8 +99,9 @@ final class DhtrModel(
 }
 
 object DhtrModel {
-  def init(net: RoadNetwork, epsilon: Double, dh: Int = 32, seed: Long = 41L): DhtrModel = {
-    val rnd = new Random(seed)
+  def init(net: RoadNetwork, epsilon: Double): DhtrModel = {
+    val rnd = new Random(41L)
+    val dh = 32 // model width
     new DhtrModel(net, epsilon,
       Linear(3, dh, rnd), BiGru(dh, dh, rnd), Linear(3, dh, rnd),
       Mlp(2 * dh, dh, 2, rnd))
@@ -143,8 +143,9 @@ final class TeriModel(
 }
 
 object TeriModel {
-  def init(net: RoadNetwork, epsilon: Double, dh: Int = 32, seed: Long = 43L): TeriModel = {
-    val rnd = new Random(seed)
+  def init(net: RoadNetwork, epsilon: Double): TeriModel = {
+    val rnd = new Random(43L)
+    val dh = 32 // model width
     new TeriModel(net, epsilon,
       Linear(3, dh, rnd), TransformerEncoder(dh, 2, 128, 2, rnd), Linear(3, dh, rnd),
       MultiHeadAttention(dh, 2, rnd), Mlp(2 * dh, dh, 2, rnd))

@@ -22,21 +22,13 @@ import scala.util.Random
   *  - `st2vec`:    spatial+temporal-frequency features, POOLED (ST2Vec+Dec)
   *
   * All of them decode with a GRU whose per-slot candidate pool is the
-  * `maskK` nearest segments to the time-interpolated GPS position — the
+  * `MaskK` nearest segments to the time-interpolated GPS position — the
   * "constraint mask over the whole network" approach the paper contrasts
   * with TRMMA's route-restricted decoding. Pooled variants condition only on
   * one trajectory vector (no per-point encoder states), which is exactly
   * why they trail the specialised methods.
   */
-final case class SeqRecConfig(
-    kind: String,
-    d0: Int = 32,
-    dh: Int = 32,
-    maskK: Int = 40,
-    heads: Int = 2,
-    dFfn: Int = 128,
-    lambda: Double = 5.0,
-) extends Serializable {
+final case class SeqRecConfig(kind: String) extends Serializable {
   def pooled: Boolean = kind == "trajgat" || kind == "trajcl" || kind == "st2vec"
 }
 
@@ -44,8 +36,8 @@ final case class SeqRecConfig(
 final case class SeqRecSample(
     feats: Array[Array[Double]],   // l x featDim encoder inputs
     nearSeg: Array[Int],           // nearest segment per sparse point (graph feats)
-    masks: Array[Array[Int]],      // L x maskK candidate ids per dense slot
-    maskFeat: Array[Array[Double]], // L x (maskK*4) per-candidate geometry
+    masks: Array[Array[Int]],      // L x MaskK candidate ids per dense slot
+    maskFeat: Array[Array[Double]], // L x (MaskK*4) per-candidate geometry
     tNorm: Array[Double],          // L normalised slot times
     targetSeg: Array[Int],         // L ground-truth segments (-1 at inference)
     targetR: Array[Double],        // L ground-truth ratios
@@ -86,7 +78,7 @@ final class SeqRecModel(
         ((p.t - q.t) / tMax, math.hypot(p.x - q.x, p.y - q.y) / 3000.0)
       }
     val base = Array(net.normX(p.x), net.normY(p.y), tn, dt, dist)
-    val n2v = (0 until cfg.d0).map(j => node2vec(nearSeg, j)).toArray
+    val n2v = (0 until node2vec.cols).map(j => node2vec(nearSeg, j)).toArray
     cfg.kind match {
       case "mtrajrec" => base
       case "rntrajrec" => base ++ n2v
@@ -102,8 +94,6 @@ final class SeqRecModel(
     }
   }
 
-  def featDim: Int = SeqRecModel.featDim(cfg)
-
   def prepare(t: Traj, withLabels: Boolean): SeqRecSample = {
     val nearSeg = t.sparse.map(p => net.nearestSegments(XY(p.x, p.y), 1).head)
     val feats = Array.tabulate(t.sparse.length)(i => pointFeats(t, i, nearSeg(i)))
@@ -112,7 +102,7 @@ final class SeqRecModel(
     // The time-interpolated free-space position of each slot anchors its
     // constraint mask.
     val interp = times.map(Recoverer.interpXY(t, _))
-    val masks = interp.map(net.nearestSegments(_, cfg.maskK))
+    val masks = interp.map(net.nearestSegments(_, SeqRecModel.MaskK))
     val maxLen = net.segments.map(_.lengthM).max
     // Per-candidate geometry: proximity to the interpolated position (two
     // decay scales), direction alignment with the travel direction, and
@@ -182,7 +172,7 @@ final class SeqRecModel(
         val lSeg = Ops.ceRowsSum(Ops.transpose(logits), Array(targetIdx))
         val r = Ops.sigmoid(ratioMlp(Ops.concatCols(h, ctx)))
         val lR = Ops.maeSum(r, Array(s.targetR(j)))
-        val l = Ops.add(lSeg, Ops.scale(lR, cfg.lambda))
+        val l = Ops.add(lSeg, Ops.scale(lR, SeqRecModel.Lambda))
         acc = if (acc == null) l else Ops.add(acc, l)
       }
       j += 1
@@ -203,10 +193,7 @@ final class SeqRecModel(
     while (j < s.masks.length) {
       if (j > 0) h = gru(gruInput(prevSeg, prevR, s.tNorm(j)), h)
       val (logits, ctx) = slotLogits(h, enc, s, j)
-      var best = 0; var bv = Double.NegativeInfinity
-      var k = 0
-      while (k < logits.rows) { if (logits(k, 0) > bv) { bv = logits(k, 0); best = k }; k += 1 }
-      val seg = s.masks(j)(best)
+      val seg = s.masks(j)(logits.argmax(0, logits.size))
       val r = Ops.sigmoid(ratioMlp(Ops.concatCols(h, ctx))).data(0)
       out(j) = MatchedPoint(seg, math.min(0.999999, r), times(j))
       prevSeg = seg; prevR = r
@@ -218,39 +205,45 @@ final class SeqRecModel(
 
 object SeqRecModel {
 
-  def featDim(cfg: SeqRecConfig): Int = cfg.kind match {
+  private val Dh = 32
+  /** Candidate segments per decoded slot. */
+  private val MaskK = 40
+  private val Heads = 2
+  private val DFfn = 128
+  private val Lambda = 5.0 // ratio-loss weight
+
+  /** Encoder input width for a Node2Vec table of width `d0`. */
+  private def featDim(kind: String, d0: Int): Int = kind match {
     case "mtrajrec" => 5
-    case "rntrajrec" => 5 + cfg.d0
-    case "mmstged" => 6 + cfg.d0
-    case "trajgat" => cfg.d0
-    case "trajcl" => 5 + cfg.d0
+    case "rntrajrec" => 5 + d0
+    case "mmstged" => 6 + d0
+    case "trajgat" => d0
+    case "trajcl" => 5 + d0
     case "st2vec" => 9
     case other => throw new IllegalArgumentException(other)
   }
 
-  def init(net: RoadNetwork, cfg: SeqRecConfig, epsilon: Double, node2vec: Tensor,
-           seed: Long = 29L): SeqRecModel = {
-    val rnd = new Random(seed)
+  def init(net: RoadNetwork, cfg: SeqRecConfig, epsilon: Double, node2vec: Tensor): SeqRecModel = {
+    val rnd = new Random(29L)
     new SeqRecModel(cfg, net, epsilon,
       Embedding.fromPretrained(node2vec),
-      Embedding(net.numSegments, cfg.dh, rnd),
-      Linear(featDim(cfg), cfg.dh, rnd),
-      BiGru(cfg.dh, cfg.dh, rnd),
-      TransformerEncoder(cfg.dh, cfg.heads, cfg.dFfn, if (cfg.kind == "mmstged") 3 else 2, rnd),
-      GruCell(cfg.d0 + 2, cfg.dh, rnd),
-      Linear(cfg.dh, cfg.dh, rnd),
-      Linear(2 * cfg.dh, cfg.dh, rnd),
+      Embedding(net.numSegments, Dh, rnd),
+      Linear(featDim(cfg.kind, node2vec.cols), Dh, rnd),
+      BiGru(Dh, Dh, rnd),
+      TransformerEncoder(Dh, Heads, DFfn, if (cfg.kind == "mmstged") 3 else 2, rnd),
+      GruCell(node2vec.cols + 2, Dh, rnd),
+      Linear(Dh, Dh, rnd),
+      Linear(2 * Dh, Dh, rnd),
       Mlp(4, 16, 1, rnd),
-      Mlp(2 * cfg.dh, cfg.dh, 1, rnd),
+      Mlp(2 * Dh, Dh, 1, rnd),
       node2vec)
   }
 
   def train(model: SeqRecModel, trajs: IndexedSeq[Traj], epochs: Int = 10,
-            batchSize: Int = 16, lr: Double = 2e-3, seed: Long = 31L,
             log: String => Unit = _ => ()): Seq[Double] = {
     val samples = trajs.map(model.prepare(_, withLabels = true))
-    Trainer.fit(samples, model.params, new Adam(model.params, lr = lr), epochs, batchSize, seed,
-      model.cfg.kind, log)((s, tp) => model.loss(s)(tp))
+    Trainer.fit(samples, model.params, new Adam(model.params, lr = 2e-3), epochs, batchSize = 16,
+      seed = 31L, label = model.cfg.kind, log = log)((s, tp) => model.loss(s)(tp))
   }
 }
 

@@ -12,17 +12,18 @@ import scala.util.Random
   */
 final case class GenConfig(
     epsilon: Double,
-    gamma: Double = 0.1,
     avgPoints: Int = 40,
     speedMinMs: Double = 7.0,
     speedMaxMs: Double = 13.0,
-    noiseSigmaM: Double = 5.0,
-    // Heavy-tailed GPS error (multipath): with this probability a point's
-    // noise sigma is multiplied by outlierScale. Matches the paper's cited
-    // GPS error profile (7 m at 95%, 30 m at 99% confidence).
-    outlierProb: Double = 0.07,
-    outlierScale: Double = 4.0,
-) extends Serializable
+) extends Serializable {
+  def gamma: Double = 0.1
+  def noiseSigmaM: Double = 5.0
+  // Heavy-tailed GPS error (multipath): with this probability a point's
+  // noise sigma is multiplied by outlierScale. Matches the paper's cited
+  // GPS error profile (7 m at 95%, 30 m at 99% confidence).
+  def outlierProb: Double = 0.07
+  def outlierScale: Double = 4.0
+}
 
 /** Simulates vehicles on a road network to produce ground-truth epsilon-
   * sampling trajectories plus their sparse, noisy observations.

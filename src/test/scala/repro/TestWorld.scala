@@ -12,7 +12,7 @@ object TestWorld {
   val net: RoadNetwork = RoadNetwork.generate(
     RoadNetwork.CityConfig("tw", gridW = 10, gridH = 9, spacingM = 190, seed = 33))
 
-  val cfg: GenConfig = GenConfig(epsilon = 15, gamma = 0.1, avgPoints = 36)
+  val cfg: GenConfig = GenConfig(epsilon = 15, avgPoints = 36)
 
   lazy val trajs: IndexedSeq[Traj] = TrajGen.generateLocal(net, cfg, 260, seed = 2)
   lazy val trainSet: IndexedSeq[Traj] = trajs.slice(0, 160)

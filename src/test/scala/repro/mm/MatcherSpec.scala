@@ -52,6 +52,16 @@ class MatcherSpec extends AnyFunSuite {
     assert(fL >= fH - 0.01)
   }
 
+  test("LHMM with zero weights matches like FMM") {
+    // A zero logistic term adds nothing to FMM's emission, so the two
+    // differ only if they read different k, sigma or beta.
+    val zero = new Lhmm(net, planner, weights = new Array[Double](6))
+    testSet.foreach { t =>
+      val (a, b) = (zero.matchTraj(t), fmm.matchTraj(t))
+      assert(a.perPoint.sameElements(b.perPoint) && a.route.sameElements(b.route), s"trajectory ${t.id}")
+    }
+  }
+
   test("LHMM learned weights favour proximity and forward direction") {
     // Feature 0 is the proximity decay, features 1-4 directional cosines of
     // the true direction of travel; all should get positive weight.

@@ -67,11 +67,6 @@ class GradCheckSpec extends AnyFunSuite {
       implicit tp => Ops.sumAll(Ops.mulElem(Ops.addRow(a, b), Ops.addRow(a, b)))) < Tol)
   }
 
-  test("mulRow gradient") {
-    val a = randT(4, 3); val b = randT(1, 3)
-    assert(NumGrad.check(Seq(a, b), implicit tp => Ops.sumAll(Ops.mulRow(a, b))) < Tol)
-  }
-
   test("mulElem gradient") {
     val a = randT(3, 3); val b = randT(3, 3)
     assert(NumGrad.check(Seq(a, b), implicit tp => Ops.sumAll(Ops.mulElem(a, b))) < Tol)

@@ -2,6 +2,9 @@ package repro.nn
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestWorld
+import repro.core.{MmaConfig, MmaModel, Trmma, TrmmaConfig, TrmmaModel, TruthMatcher}
+import repro.recovery.{SeqRecConfig, SeqRecModel}
+import repro.traj.Recovered
 
 class Node2VecSpec extends AnyFunSuite {
   private lazy val emb = TestWorld.node2vec
@@ -43,5 +46,29 @@ class Node2VecSpec extends AnyFunSuite {
     val a = Node2Vec.train(net, dim = 8, walksPerSeg = 1, epochs = 1, seed = 5)
     val b = Node2Vec.train(net, dim = 8, walksPerSeg = 1, epochs = 1, seed = 5)
     assert(a.data.sameElements(b.data))
+  }
+
+  test("MMA, TRMMA and MTrajRec take the embedding width from a table of any width") {
+    val n2v = Node2Vec.train(net, dim = 16, walksPerSeg = 1, epochs = 1)
+    val (train, t) = (TestWorld.trainSet.head, TestWorld.testSet.head)
+    def finiteLoss(loss: Tape => Tensor): Unit = {
+      val tp = new GradTape
+      val l = loss(tp)
+      assert(l.data.forall(v => !v.isNaN && !v.isInfinite))
+      tp.backward(l)
+    }
+    def alignedWithDense(out: Recovered): Unit = {
+      assert(out.points.length == t.dense.length)
+      out.points.zip(t.dense).foreach { case (p, d) => assert(math.abs(p.t - d.t) < 1e-6) }
+    }
+    val mma = MmaModel.init(net, MmaConfig(), n2v)
+    finiteLoss(tp => mma.loss(mma.prepare(train, withLabels = true))(tp))
+    assert(mma.predictSegments(t).length == t.sparse.length)
+    val trmma = TrmmaModel.init(net, TrmmaConfig(), n2v)
+    finiteLoss(tp => trmma.loss(trmma.prepareTrain(train))(tp))
+    alignedWithDense(new Trmma(trmma, new TruthMatcher, TestWorld.cfg.epsilon).recover(t))
+    val seq = SeqRecModel.init(net, SeqRecConfig("mtrajrec"), TestWorld.cfg.epsilon, n2v)
+    finiteLoss(tp => seq.loss(seq.prepare(train, withLabels = true))(tp))
+    alignedWithDense(seq.recover(t))
   }
 }

@@ -49,9 +49,6 @@ class OpsKernelSpec extends AnyFunSuite {
     check("addRow")(Prop.forAllNoShrink(withRow) { case (a, b) =>
       sameBits(Ops.addRow(a, b), ReferenceOps.addRow(a, b))
     })
-    check("mulRow")(Prop.forAllNoShrink(withRow) { case (a, b) =>
-      sameBits(Ops.mulRow(a, b), ReferenceOps.mulRow(a, b))
-    })
     check("tileRows")(Prop.forAllNoShrink(withRow, dim) { case ((_, row), m) =>
       sameBits(Ops.tileRows(row, m), ReferenceOps.tileRows(row, m))
     })

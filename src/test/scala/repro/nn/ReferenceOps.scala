@@ -73,8 +73,6 @@ object ReferenceOps {
 
   def addRow(a: Tensor, b: Tensor): Tensor = Tensor(a.rows, a.cols)((i, j) => a(i, j) + b.data(j))
 
-  def mulRow(a: Tensor, b: Tensor): Tensor = Tensor(a.rows, a.cols)((i, j) => a(i, j) * b.data(j))
-
   def mulElem(a: Tensor, b: Tensor): Tensor =
     new Tensor(a.rows, a.cols, Array.tabulate(a.size)(i => a.data(i) * b.data(i)))
 

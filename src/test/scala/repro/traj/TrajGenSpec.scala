@@ -7,7 +7,7 @@ class TrajGenSpec extends AnyFunSuite {
 
   private val net = RoadNetwork.generate(
     RoadNetwork.CityConfig("t", gridW = 10, gridH = 10, spacingM = 180, seed = 21))
-  private val cfg = GenConfig(epsilon = 15, gamma = 0.1, avgPoints = 40)
+  private val cfg = GenConfig(epsilon = 15, avgPoints = 40)
   private lazy val trajs = TrajGen.generateLocal(net, cfg, 80, seed = 1)
 
   test("deterministic in (seed, id)") {
