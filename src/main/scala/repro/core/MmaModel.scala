@@ -1,8 +1,8 @@
 package repro.core
 
-import repro.geo.{Geo, RoadNetwork, ShortestPath, XY}
+import repro.geo.{RoadNetwork, ShortestPath}
 import repro.nn._
-import repro.traj.Traj
+import repro.traj.{SparseFrame, Traj}
 import scala.util.Random
 
 /** The paper's Table IV ablation flags of MMA. Its widths and k_c are
@@ -48,50 +48,45 @@ final class MmaModel(
 
   // ---- sample preparation (geometry only, no learnable state) ----
 
-  /** Point-sequence input rows: min-max normalised (x, y, t) plus the
-    * displacements to the previous/next GPS points (the raw sequence signal
-    * the transformer of Eq. 3 consumes).
+  /** Point-sequence input rows: the sparse-point frame's normalised
+    * (x, y, t) plus the displacements to the previous/next GPS points (the
+    * raw sequence signal the transformer of Eq. 3 consumes).
     */
   def normalise(t: Traj): Array[Array[Double]] = {
-    val tMax = math.max(1e-9, t.sparse.last.t - t.sparse.head.t)
+    val frame = new SparseFrame(net, t)
     t.sparse.indices.map { i =>
       val p = t.sparse(i)
       val (dxp, dyp) = if (i == 0) (0.0, 0.0)
         else ((p.x - t.sparse(i - 1).x) / 500.0, (p.y - t.sparse(i - 1).y) / 500.0)
       val (dxn, dyn) = if (i + 1 == t.sparse.length) (0.0, 0.0)
         else ((t.sparse(i + 1).x - p.x) / 500.0, (t.sparse(i + 1).y - p.y) / 500.0)
-      Array(net.normX(p.x), net.normY(p.y), (p.t - t.sparse.head.t) / tMax, dxp, dyp, dxn, dyn)
+      frame.row(i) ++ Array(dxp, dyp, dxn, dyn)
     }.toArray
   }
 
-  /** Relationship features of candidate `sid` w.r.t. point i (Section IV-B):
-    * the four directional cosines (seg vs entrance->p, seg vs p->exit, seg
-    * vs p_{i-1}->p_i, seg vs p_i->p_{i+1}) plus an exponentially decayed
-    * perpendicular-distance feature (part of the candidate's "relationship
-    * with p_i"; minor extension documented in DESIGN §3). The cosines are
-    * zeroed when `useDirectional` is off (TRMMA-DI).
+  /** Relationship features of candidate `sid` at distance `dist` from point
+    * i (Section IV-B): the four directional cosines plus exponentially
+    * decayed perpendicular-distance features (part of the candidate's
+    * "relationship with p_i"; minor extension documented in DESIGN §3). The
+    * cosines are zeroed when `useDirectional` is off (TRMMA-DI).
     */
-  private def dirFeats(t: Traj, i: Int, sid: Int, dMin: Double): Array[Double] = {
-    val s = net.segments(sid)
-    val p = XY(t.sparse(i).x, t.sparse(i).y)
-    val dist = Geo.pointSegDist(p, s.a, s.b)
+  private def dirFeats(t: Traj, i: Int, sid: Int, dist: Double, dMin: Double): Array[Double] = {
     // Absolute proximity at two scales plus rank-relative proximity — the
     // relative term stays discriminative on heavy-tailed outlier points
     // where every absolute distance is large.
     val prox = Array(math.exp(-dist / 25.0), math.exp(-dist / 75.0),
       math.exp(-(dist - dMin) / 15.0))
     if (!cfg.useDirectional) return Array(0.0, 0.0, 0.0, 0.0) ++ prox
-    val d = s.dir
-    val prev =
-      if (i > 0) Geo.cosine(d, p - XY(t.sparse(i - 1).x, t.sparse(i - 1).y)) else 0.0
-    val next =
-      if (i + 1 < t.sparse.length) Geo.cosine(d, XY(t.sparse(i + 1).x, t.sparse(i + 1).y) - p) else 0.0
-    Array(Geo.cosine(d, p - s.a), Geo.cosine(d, s.b - p), prev, next) ++ prox
+    t.dirCosines(i, net.segments(sid)) ++ prox
   }
 
   def prepare(t: Traj, withLabels: Boolean): MmaSample = {
     val l = t.sparse.length
-    val cands = Array.tabulate(l)(i => net.nearestSegments(XY(t.sparse(i).x, t.sparse(i).y), cfg.kc))
+    val pts = t.sparse.map(_.xy)
+    // Candidates come back nearest first, so dists(i)(0) is the least.
+    val found = pts.map(net.candidates(_, cfg.kc))
+    val cands = found.map(_.ids)
+    val dists = found.map(_.dists)
     // Transition-plausibility features (road-network context, Section IV-B):
     // how consistent each candidate is with the nearest candidates of the
     // neighbouring points, measured as |network travel distance - straight
@@ -102,9 +97,7 @@ final class MmaModel(
     // cands(i + 1)(k), one search per distinct exit node, stopped once those
     // entrances are settled (amortises the otherwise quadratic per-pair A*
     // cost of the transition features).
-    val maxGap = (1 until l).map(i =>
-      XY(t.sparse(i).x, t.sparse(i).y).dist(XY(t.sparse(i - 1).x, t.sparse(i - 1).y)))
-      .foldLeft(500.0)(math.max)
+    val maxGap = (1 until l).map(i => pts(i).dist(pts(i - 1))).foldLeft(500.0)(math.max)
     val bound = maxGap * 2.5 + 1500
     val netDist: Array[Array[Array[Double]]] = Array.tabulate(l - 1) { i =>
       val entrances = cands(i + 1).map(sid => net.segments(sid).from)
@@ -112,22 +105,9 @@ final class MmaModel(
       val fromExit = exits.distinct.map(node => node -> ShortestPath.dijkstraTo(net, node, bound, entrances)).toMap
       exits.map(fromExit)
     }
-    def directed(sf: Int, rf: Double, sTo: Int, rTo: Double, d: Double): Double = {
-      val a = net.segments(sf); val b = net.segments(sTo)
-      if (sf == sTo && rTo >= rf) return (rTo - rf) * a.lengthM
-      (1 - rf) * a.lengthM + d + rTo * b.lengthM
-    }
-    val pts = Array.tabulate(l)(i => XY(t.sparse(i).x, t.sparse(i).y))
     // Projection ratio and emission weight of every candidate of every point.
-    val ratio = Array.tabulate(l)(i => cands(i).map { sid =>
-      val seg = net.segments(sid)
-      Geo.projectRatio(pts(i), seg.a, seg.b)
-    })
-    val wEmit = Array.tabulate(l)(i => cands(i).map { sid =>
-      val seg = net.segments(sid)
-      val dEmit = Geo.pointSegDist(pts(i), seg.a, seg.b)
-      math.exp(-dEmit * dEmit / (2 * 10.0 * 10.0)) + 1e-6
-    })
+    val ratio = Array.tabulate(l)(i => cands(i).map(net.projectRatio(pts(i), _)))
+    val wEmit = dists.map(_.map(dEmit => math.exp(-dEmit * dEmit / (2 * 10.0 * 10.0)) + 1e-6))
     // Plausibility of candidate j of point i vs neighbour point iNb:
     // expected transition consistency over the neighbour's candidates,
     // weighted by their emission proximity (a soft one-step Viterbi
@@ -139,8 +119,8 @@ final class MmaModel(
       var k = 0
       while (k < cands(iNb).length) {
         val sf = cands(iNb)(k); val rf = ratio(iNb)(k); val wNb = wEmit(iNb)(k)
-        val d = if (forward) directed(sf, rf, sid, rSid, netDist(iNb)(k)(j))
-                else directed(sid, rSid, sf, rf, netDist(i)(j)(k))
+        val d = if (forward) ShortestPath.directedDist(net, sf, rf, sid, rSid, netDist(iNb)(k)(j))
+                else ShortestPath.directedDist(net, sid, rSid, sf, rf, netDist(i)(j)(k))
         val diff = math.abs(d - gc)
         wSum += wNb
         // Gap-adaptive decay scales: a 100 m detour matters on a 500 m gap
@@ -152,12 +132,10 @@ final class MmaModel(
       (f60 / wSum, f200 / wSum)
     }
     val feats = Array.tabulate(l) { i =>
-      val p = pts(i)
-      val dMin = cands(i).map(sid => net.rtree.distTo(p, sid)).min
       cands(i).indices.toArray.flatMap { j =>
         val (fPrev60, fPrev200) = if (i == 0) (1.0, 1.0) else plaus(i - 1, i, j, forward = true)
         val (fNext60, fNext200) = if (i + 1 == l) (1.0, 1.0) else plaus(i + 1, i, j, forward = false)
-        dirFeats(t, i, cands(i)(j), dMin) ++ Array(fPrev60, fPrev200, fNext60, fNext200)
+        dirFeats(t, i, cands(i)(j), dists(i)(j), dists(i)(0)) ++ Array(fPrev60, fPrev200, fNext60, fNext200)
       }
     }
     val labels =

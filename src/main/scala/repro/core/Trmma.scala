@@ -1,6 +1,5 @@
 package repro.core
 
-import repro.geo.XY
 import repro.mm.MapMatcher
 import repro.recovery.{Recoverer, RouteRecoverer}
 import repro.traj.{MatchedRoute, Recovered, Traj}
@@ -35,8 +34,8 @@ final class Trmma(
     val slotSeg = tl.anchor.map(i => segs(i))
     val slotR = Array.tabulate(tl.length) { j =>
       val i = tl.anchor(j)
-      if (observed(j)) model.projRatio(XY(t.sparse(i).x, t.sparse(i).y), segs(i)) else 0.0
+      if (observed(j)) model.projRatio(t.sparse(i).xy, segs(i)) else 0.0
     }
-    (model.prepare(t, segs, mr.routeOrFallback, slotSeg, slotR, observed), tl.times)
+    (model.prepare(t, segs, mr.route, slotSeg, slotR, observed), tl.times)
   }
 }

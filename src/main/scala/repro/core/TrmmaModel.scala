@@ -1,9 +1,9 @@
 package repro.core
 
-import repro.geo.{Geo, RoadNetwork, XY}
+import repro.geo.{RoadNetwork, XY}
 import repro.nn._
 import repro.recovery.RouteArc
-import repro.traj.{MatchedPoint, Traj}
+import repro.traj.{MatchedPoint, SparseFrame, Traj}
 import scala.util.Random
 
 /** The paper's Table IV ablation flag of TRMMA. Its widths and λ are
@@ -68,10 +68,7 @@ final class TrmmaModel(
   private val maxSegLen = net.segments.map(_.lengthM).max
 
   /** Projection ratio of a GPS point onto a segment (Alg. 2 line 4). */
-  def projRatio(p: XY, segId: Int): Double = {
-    val s = net.segments(segId)
-    Geo.projectRatio(p, s.a, s.b)
-  }
+  def projRatio(p: XY, segId: Int): Double = net.projectRatio(p, segId)
 
   /** Build a sample from observed sparse points with their matched segments
     * (`segs`), a route, and the dense timeline (segments/ratios known only
@@ -79,12 +76,8 @@ final class TrmmaModel(
     */
   def prepare(t: Traj, segs: Array[Int], route: Array[Int],
               denseSeg: Array[Int], denseR: Array[Double], observed: Array[Boolean]): TrmmaSample = {
-    val tMax = math.max(1e-9, t.sparse.last.t - t.sparse.head.t)
-    val coords = t.sparse.indices.map { i =>
-      val p = t.sparse(i)
-      Array(net.normX(p.x), net.normY(p.y), (p.t - t.sparse.head.t) / tMax,
-            projRatio(XY(p.x, p.y), segs(i)))
-    }.toArray
+    val frame = new SparseFrame(net, t)
+    val coords = Array.tabulate(t.sparse.length)(i => frame.row(i) :+ projRatio(t.sparse(i).xy, segs(i)))
     val arc = new RouteArc(net, route)
     val total = math.max(1e-9, arc.totalLen)
     val routeFeat = Array.tabulate(route.length)(k =>

@@ -76,8 +76,7 @@ object Harness {
     log(s"[$city] generating ${scale.nTraj} trajectories (distributed) ...")
     val all = TrajGen.generate(spark, net, cd.gen, scale.nTraj.toLong, seed = city.hashCode.toLong)
       .collect().toIndexedSeq.sortBy(_.id)
-    val split = Datasets.split(all)
-    val (trainSet, testSet) = (split.train, split.test)
+    val Datasets.Split(trainSet, testSet) = Datasets.split(all)
 
     log(s"[$city] ${elapsed()} node2vec + planner ...")
     val n2v = Node2Vec.train(net, dim = 32, epochs = 2, walksPerSeg = 4)

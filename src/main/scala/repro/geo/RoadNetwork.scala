@@ -81,6 +81,12 @@ final class RoadNetwork(
     */
   def nextSegments(segId: Int): Array[Int] = successors(segId)
 
+  /** Position ratio (Definition 5) of `p`'s projection onto segment `segId`. */
+  def projectRatio(p: XY, segId: Int): Double = {
+    val s = segments(segId)
+    Geo.projectRatio(p, s.a, s.b)
+  }
+
   /** Planar point at position ratio `r` on segment `segId`. */
   def pointAt(segId: Int, r: Double): XY = {
     val s = segments(segId)
@@ -90,8 +96,11 @@ final class RoadNetwork(
   /** STR R-tree over the segments, built lazily on first spatial query. */
   @transient lazy val rtree: STRtree = STRtree.build(segments)
 
-  /** Top-`k` nearest segments to planar point `p` by perpendicular distance. */
-  def nearestSegments(p: XY, k: Int): Array[Int] = rtree.nearest(p, k)
+  /** Top-`k` nearest segments to `p` by perpendicular distance, with those distances. */
+  def candidates(p: XY, k: Int): Candidates = rtree.nearest(p, k)
+
+  /** The ids of `candidates(p, k)`. */
+  def nearestSegments(p: XY, k: Int): Array[Int] = candidates(p, k).ids
 }
 
 object RoadNetwork {

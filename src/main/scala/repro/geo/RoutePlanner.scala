@@ -55,6 +55,9 @@ final class RoutePlanner(
 
   /** Stitch per-point matched segments into a route: consecutive duplicate
     * segments collapse; gaps are filled by `plan`. (Algorithm 1, lines 10-13.)
+    * No segment repeats consecutively in the result: a planned path steps
+    * from each segment to one of its `nextSegments`, which never include it
+    * (segments join distinct nodes), and the `List(to)` jump has `to != from`.
     */
   def stitch(matched: Seq[Int]): List[Int] = {
     if (matched.isEmpty) return Nil
@@ -63,10 +66,7 @@ final class RoutePlanner(
       case Seq(a, b) if a != b => out ++= plan(a, b)
       case _                   => ()
     }
-    // Collapse accidental consecutive repeats from planning.
-    val dedup = mutable.ListBuffer.empty[Int]
-    out.foreach(s => if (dedup.isEmpty || dedup.last != s) dedup += s)
-    dedup.toList
+    out.toList
   }
 }
 

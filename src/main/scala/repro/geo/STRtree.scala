@@ -17,6 +17,12 @@ final case class MBR(minX: Double, minY: Double, maxX: Double, maxY: Double) ext
   def centerY: Double = (minY + maxY) / 2
 }
 
+/** The `k` segments nearest to a point in ascending (distance, id) order,
+  * with their point-to-segment distances in metres: the candidate set C_{p_i}
+  * (paper Definition 8) and the distance every emission or proximity reads.
+  */
+final case class Candidates(ids: Array[Int], dists: Array[Double])
+
 /** An STR-packed (Sort-Tile-Recursive, Leutenegger et al. [ICDE'97]) R-tree
   * over road segments, supporting exact top-k nearest-segment queries via
   * best-first branch-and-bound on MBR lower bounds.
@@ -29,11 +35,11 @@ final class STRtree private (
     private val root: STRtree.Node,
 ) extends Serializable {
 
-  /** Ids of the `k` segments nearest to `p` by perpendicular (point-to-
-    * segment) distance, in ascending distance order.
+  /** The `k` segments nearest to `p` by perpendicular (point-to-segment)
+    * distance, with those distances.
     */
-  def nearest(p: XY, k: Int): Array[Int] = {
-    if (segments.isEmpty || k <= 0) return Array.empty
+  def nearest(p: XY, k: Int): Candidates = {
+    if (segments.isEmpty || k <= 0) return Candidates(Array.emptyIntArray, Array.emptyDoubleArray)
     // Frontier of tree nodes keyed by optimistic lower-bound distance.
     val frontier = new PriorityQueue[(Double, STRtree.Node)](11,
       (a: (Double, STRtree.Node), b: (Double, STRtree.Node)) => java.lang.Double.compare(a._1, b._1))
@@ -65,13 +71,8 @@ final class STRtree private (
     }
     val out = mutable.ArrayBuffer.empty[(Double, Int)]
     while (!best.isEmpty) out += best.poll()
-    out.sortBy(e => (e._1, e._2)).map(_._2).toArray
-  }
-
-  /** Perpendicular distance from `p` to segment `segId`. */
-  def distTo(p: XY, segId: Int): Double = {
-    val s = segments(segId)
-    Geo.pointSegDist(p, s.a, s.b)
+    val sorted = out.sortBy(e => (e._1, e._2))
+    Candidates(sorted.map(_._2).toArray, sorted.map(_._1).toArray)
   }
 }
 

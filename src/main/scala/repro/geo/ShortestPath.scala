@@ -186,6 +186,17 @@ object ShortestPath {
     if (s.dist(to) < Inf) Some(s.arcsTo(from, to)) else None
   }
 
+  /** Directed travel distance from point (segA, rA) to point (segB, rB)
+    * along the network — the HMM transition distance (a wrong-direction
+    * candidate forces a costly loop, the signal that disambiguates direction).
+    * `nodeDist`, from segA's exit to segB's entrance, is read only if needed.
+    */
+  def directedDist(net: RoadNetwork, segA: Int, rA: Double, segB: Int, rB: Double, nodeDist: => Double): Double = {
+    val sa = net.segments(segA)
+    if (segA == segB && rB >= rA) (rB - rA) * sa.lengthM
+    else (1 - rA) * sa.lengthM + nodeDist + rB * net.segments(segB).lengthM
+  }
+
   /** Memoising node-to-node distance helper for metric computation. One
     * instance per evaluation task; NOT thread-safe.
     */
@@ -194,16 +205,10 @@ object ShortestPath {
     def nodeDist(a: Int, b: Int): Double =
       cache.getOrElseUpdate((a.toLong << 32) | (b.toLong & 0xffffffffL), aStar(net, a, b))
 
-    /** Directed travel distance from point (segA, rA) to point (segB, rB)
-      * along the network — the HMM transition distance (a wrong-direction
-      * candidate forces a costly loop, which is exactly the signal that
-      * disambiguates direction).
-      */
-    def directedDist(segA: Int, rA: Double, segB: Int, rB: Double): Double = {
-      val sa = net.segments(segA); val sb = net.segments(segB)
-      if (segA == segB && rB >= rA) (rB - rA) * sa.lengthM
-      else (1 - rA) * sa.lengthM + nodeDist(sa.to, sb.from) + rB * sb.lengthM
-    }
+    /** [[ShortestPath.directedDist]], with A* run only when it is needed. */
+    def directedDist(segA: Int, rA: Double, segB: Int, rB: Double): Double =
+      ShortestPath.directedDist(net, segA, rA, segB, rB,
+        nodeDist(net.segments(segA).to, net.segments(segB).from))
 
     /** Road-network distance between map-matched points (segA, rA) and
       * (segB, rB): the shorter directed travel distance of A->B and B->A.

@@ -1,8 +1,8 @@
 package repro.mm
 
-import repro.geo.{Geo, RoadNetwork, RoutePlanner, XY}
+import repro.geo.{RoadNetwork, RoutePlanner}
 import repro.nn._
-import repro.traj.Traj
+import repro.traj.{SparseFrame, Traj}
 import scala.util.Random
 
 /** DeepMM (paper ref [32]): end-to-end deep map matching. A transformer
@@ -20,10 +20,7 @@ final class DeepMmModel(
 
   def params: Seq[Tensor] = encFc.params ++ encoder.params ++ segOut.params
 
-  def features(t: Traj): Array[Array[Double]] = {
-    val tMax = math.max(1e-9, t.sparse.last.t - t.sparse.head.t)
-    t.sparse.map(p => Array(net.normX(p.x), net.normY(p.y), (p.t - t.sparse.head.t) / tMax))
-  }
+  def features(t: Traj): Array[Array[Double]] = new SparseFrame(net, t).rows
 
   /** Constant spatial-prior bias: each point's nearby segments get a
     * proximity bonus (DeepMM's grid-based spatial encoding analogue; the
@@ -34,11 +31,8 @@ final class DeepMmModel(
   private def spatialBias(t: Traj): Tensor = {
     val b = Tensor.zeros(t.sparse.length, net.numSegments)
     t.sparse.indices.foreach { i =>
-      val p = XY(t.sparse(i).x, t.sparse(i).y)
-      net.nearestSegments(p, 64).foreach { sid =>
-        val seg = net.segments(sid)
-        b.data(i * net.numSegments + sid) = 3.0 * math.exp(-Geo.pointSegDist(p, seg.a, seg.b) / 40.0)
-      }
+      val c = net.candidates(t.sparse(i).xy, 64)
+      c.ids.indices.foreach(j => b.data(i * net.numSegments + c.ids(j)) = 3.0 * math.exp(-c.dists(j) / 40.0))
     }
     b
   }

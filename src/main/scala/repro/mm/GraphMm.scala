@@ -1,7 +1,7 @@
 package repro.mm
 
 import repro.core.MmaModel
-import repro.geo.{Geo, RoadNetwork, RoutePlanner, XY}
+import repro.geo.{RoadNetwork, RoutePlanner, XY}
 import repro.nn._
 import repro.traj.Traj
 import scala.util.Random
@@ -23,9 +23,6 @@ final class GraphMmModel(
   def params: Seq[Tensor] = scorer.params
   private val d0 = node2vec.cols
 
-  private def n2vRow(sid: Int): Array[Double] =
-    Array.tabulate(d0)(j => node2vec(sid, j))
-
   /** Mean Node2Vec embedding of the top-3 nearest segments of a point. */
   private def ctxEmb(p: XY): Array[Double] = {
     val ids = net.nearestSegments(p, 3)
@@ -35,15 +32,13 @@ final class GraphMmModel(
   }
 
   def candFeatures(t: Traj, i: Int): (Array[Int], Array[Array[Double]]) = {
-    val p = XY(t.sparse(i).x, t.sparse(i).y)
-    val cands = net.nearestSegments(p, MmaModel.Kc)
-    val prevCtx = if (i > 0) ctxEmb(XY(t.sparse(i - 1).x, t.sparse(i - 1).y)) else new Array[Double](d0)
-    val nextCtx = if (i + 1 < t.sparse.length) ctxEmb(XY(t.sparse(i + 1).x, t.sparse(i + 1).y)) else new Array[Double](d0)
-    val rows = cands.map { sid =>
-      val s = net.segments(sid)
-      n2vRow(sid) ++ prevCtx ++ nextCtx :+ math.exp(-Geo.pointSegDist(p, s.a, s.b) / 25.0)
+    val c = net.candidates(t.sparse(i).xy, MmaModel.Kc)
+    val prevCtx = if (i > 0) ctxEmb(t.sparse(i - 1).xy) else new Array[Double](d0)
+    val nextCtx = if (i + 1 < t.sparse.length) ctxEmb(t.sparse(i + 1).xy) else new Array[Double](d0)
+    val rows = Array.tabulate(c.ids.length) { j =>
+      node2vec.rowCopy(c.ids(j)) ++ prevCtx ++ nextCtx :+ math.exp(-c.dists(j) / 25.0)
     }
-    (cands, rows)
+    (c.ids, rows)
   }
 
   def loss(t: Traj)(implicit tp: Tape): Tensor = {

@@ -1,6 +1,6 @@
 package repro.mm
 
-import repro.geo.{Geo, RoadNetwork, RoutePlanner, ShortestPath, XY}
+import repro.geo.{RoadNetwork, RoutePlanner, ShortestPath}
 import repro.traj.Traj
 
 /** FMM-style HMM map matching (paper ref [28], after Newson & Krumm).
@@ -18,7 +18,7 @@ import repro.traj.Traj
 final class HmmMatcher(net: RoadNetwork, protected val planner: RoutePlanner) extends PointMatcher {
   val name = "FMM"
 
-  def matchPoints(t: Traj): Array[Int] = HmmMatcher.viterbi(net, t, (_, _) => 0.0)
+  def matchPoints(t: Traj): Array[Int] = HmmMatcher.viterbi(net, t, (_, _, _) => 0.0)
 }
 
 /** The Newson–Krumm Viterbi and its constants, shared by FMM and LHMM. */
@@ -32,22 +32,23 @@ object HmmMatcher {
   private final val BetaM = 120.0
 
   /** Newson–Krumm Viterbi over each point's top-`K` candidate segments:
-    * Gaussian emission in the perpendicular distance plus `emitBonus(i, sid)`,
-    * transitions exponential in |directed network distance - straight-line
-    * distance|. Returns the decoded segment of every sparse point.
+    * Gaussian emission in the perpendicular distance `d` plus
+    * `emitBonus(i, sid, d)`, transitions exponential in |directed network
+    * distance - straight-line distance|. Returns the decoded segment of every
+    * sparse point.
     */
-  private[mm] def viterbi(net: RoadNetwork, t: Traj, emitBonus: (Int, Int) => Double): Array[Int] = {
+  private[mm] def viterbi(net: RoadNetwork, t: Traj, emitBonus: (Int, Int, Double) => Double): Array[Int] = {
     val cache = new ShortestPath.DistCache(net)
-    val pts = t.sparse.map(p => XY(p.x, p.y))
-    val cands = pts.map(p => net.nearestSegments(p, K))
+    val pts = t.sparse.map(_.xy)
+    val found = pts.map(net.candidates(_, K))
+    val cands = found.map(_.ids)
     val emit = Array.tabulate(pts.length) { i =>
-      cands(i).map { sid =>
-        val d = net.rtree.distTo(pts(i), sid)
-        -d * d / (2 * SigmaM * SigmaM) + emitBonus(i, sid)
+      Array.tabulate(cands(i).length) { j =>
+        val d = found(i).dists(j)
+        -d * d / (2 * SigmaM * SigmaM) + emitBonus(i, cands(i)(j), d)
       }
     }
-    val ratio = Array.tabulate(pts.length)(i =>
-      cands(i).map(sid => Geo.projectRatio(pts(i), net.segments(sid).a, net.segments(sid).b)))
+    val ratio = Array.tabulate(pts.length)(i => cands(i).map(net.projectRatio(pts(i), _)))
     val score = Array.tabulate(pts.length)(i => new Array[Double](cands(i).length))
     val back = Array.tabulate(pts.length)(i => new Array[Int](cands(i).length))
     score(0) = emit(0).clone()

@@ -1,6 +1,6 @@
 package repro.mm
 
-import repro.geo.{Geo, RoadNetwork, RoutePlanner, XY}
+import repro.geo.{RoadNetwork, RoutePlanner}
 import repro.traj.Traj
 import scala.util.Random
 
@@ -19,15 +19,9 @@ final class Lhmm(
 ) extends PointMatcher {
   val name = "LHMM"
 
-  private def feats(t: Traj, i: Int, sid: Int): Array[Double] = {
-    val s = net.segments(sid)
-    val p = XY(t.sparse(i).x, t.sparse(i).y)
-    val d = s.dir
-    val prev = if (i > 0) Geo.cosine(d, p - XY(t.sparse(i - 1).x, t.sparse(i - 1).y)) else 0.0
-    val next = if (i + 1 < t.sparse.length) Geo.cosine(d, XY(t.sparse(i + 1).x, t.sparse(i + 1).y) - p) else 0.0
-    Array(math.exp(-Geo.pointSegDist(p, s.a, s.b) / 25.0),
-      Geo.cosine(d, p - s.a), Geo.cosine(d, s.b - p), prev, next)
-  }
+  /** Features of candidate `sid` at distance `dist` from point i. */
+  private def feats(t: Traj, i: Int, sid: Int, dist: Double): Array[Double] =
+    math.exp(-dist / 25.0) +: t.dirCosines(i, net.segments(sid))
 
   private def logOdds(f: Array[Double]): Double = {
     var z = weights(5)
@@ -37,7 +31,7 @@ final class Lhmm(
   }
 
   def matchPoints(t: Traj): Array[Int] =
-    HmmMatcher.viterbi(net, t, (i, sid) => logOdds(feats(t, i, sid)))
+    HmmMatcher.viterbi(net, t, (i, sid, dist) => logOdds(feats(t, i, sid, dist)))
 }
 
 object Lhmm {
@@ -51,8 +45,10 @@ object Lhmm {
     (1 to 3).foreach { _ =>
       rnd.shuffle(trajs).foreach { t =>
         t.sparse.indices.foreach { i =>
-          net.nearestSegments(XY(t.sparse(i).x, t.sparse(i).y), HmmMatcher.K).foreach { sid =>
-            val f = m.feats(t, i, sid)
+          val c = net.candidates(t.sparse(i).xy, HmmMatcher.K)
+          c.ids.indices.foreach { k =>
+            val sid = c.ids(k)
+            val f = m.feats(t, i, sid, c.dists(k))
             val label = if (sid == t.sparseTruthSeg(i)) 1.0 else 0.0
             val g = 0.1 * (label - 1.0 / (1.0 + math.exp(-m.logOdds(f))))
             var j = 0

@@ -25,6 +25,9 @@ trait PointMatcher extends MapMatcher {
   /** The matched segment of every sparse point of `t`. */
   def matchPoints(t: Traj): Array[Int]
 
+  /** The route passes the per-point segments in order without consecutive
+    * repeats, connected in `nextSegments` on a strongly connected network.
+    */
   final def matchTraj(t: Traj): MatchedRoute = {
     val per = matchPoints(t)
     MatchedRoute(t.id, per, planner.stitch(per.toIndexedSeq).toArray)

@@ -1,6 +1,6 @@
 package repro.mm
 
-import repro.geo.{RoadNetwork, RoutePlanner, XY}
+import repro.geo.{RoadNetwork, RoutePlanner}
 import repro.traj.Traj
 
 /** Baseline `Nearest`: each GPS point maps to its nearest segment (the
@@ -11,5 +11,5 @@ final class Nearest(net: RoadNetwork, protected val planner: RoutePlanner) exten
   val name = "Nearest"
 
   def matchPoints(t: Traj): Array[Int] =
-    t.sparse.map(p => net.nearestSegments(XY(p.x, p.y), 1).head)
+    t.sparse.map(p => net.nearestSegments(p.xy, 1).head)
 }

@@ -44,13 +44,16 @@ object Adam {
   private final val Eps = 1e-8
 }
 
-/** Data-parallel minibatch trainer: each worker thread forwards/backwards a
-  * chunk of the minibatch on its own [[GradTape]]; parameter gradients are
-  * summed and one Adam step applied. Mirrors single-GPU batched training on
-  * the multicore driver.
+/** Data-parallel minibatch trainer: a worker thread forwards/backwards each
+  * of `Chunks` chunks of the minibatch on its own [[GradTape]]; parameter
+  * gradients are summed in chunk order and one Adam step applied. The chunks
+  * do not depend on the pool's size, so neither do the trained parameters.
+  * Mirrors single-GPU batched training on the multicore driver.
   */
 object Trainer {
 
+  /** Chunks per minibatch, cut in sample order. */
+  private final val Chunks = 3
   private lazy val nThreads = math.max(2, Runtime.getRuntime.availableProcessors() - 1)
   private lazy val pool =
     ExecutionContext.fromExecutorService(Executors.newFixedThreadPool(nThreads, r => {
@@ -67,7 +70,7 @@ object Trainer {
       lossOf: (S, Tape) => Tensor,
   ): Double = {
     val chunks = {
-      val per = math.max(1, math.ceil(batch.size.toDouble / nThreads).toInt)
+      val per = math.max(1, math.ceil(batch.size.toDouble / Chunks).toInt)
       batch.grouped(per).toIndexedSeq
     }
     implicit val ec: ExecutionContext = pool

@@ -24,6 +24,9 @@ final class Tensor(val rows: Int, val cols: Int, val data: Array[Double]) extend
   def size: Int = data.length
   def copyTensor(): Tensor = new Tensor(rows, cols, data.clone())
 
+  /** A copy of row i. */
+  def rowCopy(i: Int): Array[Double] = java.util.Arrays.copyOfRange(data, i * cols, (i + 1) * cols)
+
   /** Index in `data` of the first maximum of `data[from, until)`. The strict
     * `>` from -inf keeps the first of equal values, and `from` is returned
     * when no value beats -inf (all -inf or NaN).

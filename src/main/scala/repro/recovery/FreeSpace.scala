@@ -1,8 +1,8 @@
 package repro.recovery
 
-import repro.geo.{Geo, RoadNetwork, XY}
+import repro.geo.{RoadNetwork, XY}
 import repro.nn._
-import repro.traj.{MatchedPoint, Recovered, Traj}
+import repro.traj.{MatchedPoint, Recovered, SparseFrame, Traj}
 import scala.util.Random
 
 /** Shared machinery of the free-space recovery baselines (DHTR [20] and
@@ -31,16 +31,14 @@ abstract class FreeSpaceModel(
     val xy = predictXY(t, tl.times)
     val out = Array.tabulate(tl.length) { j =>
       val p =
-        if (tl.observed(j)) { // observed: snap the GPS point
-          val o = t.sparse(tl.anchor(j)); XY(o.x, o.y)
-        } else {
+        if (tl.observed(j)) t.sparse(tl.anchor(j)).xy // observed: snap the GPS point
+        else {
           val raw = XY(net.denormX(xy(j, 0)), net.denormY(xy(j, 1)))
           val lin = Recoverer.interpXY(t, tl.times(j))
           XY(raw.x * blend + lin.x * (1 - blend), raw.y * blend + lin.y * (1 - blend))
         }
       val seg = net.nearestSegments(p, 1).head
-      val s = net.segments(seg)
-      MatchedPoint(seg, Geo.projectRatio(p, s.a, s.b), tl.times(j))
+      MatchedPoint(seg, net.projectRatio(p, seg), tl.times(j))
     }
     Recovered(t.id, out)
   }
@@ -82,14 +80,11 @@ final class DhtrModel(
   def params: Seq[Tensor] = encFc.params ++ encoder.params ++ queryFc.params ++ head.params
 
   def predictXY(t: Traj, times: Array[Double])(implicit tp: Tape): Tensor = {
-    val tMax = math.max(1e-9, t.sparse.last.t - t.sparse.head.t)
-    val feats = t.sparse.map(p =>
-      Array(net.normX(p.x), net.normY(p.y), (p.t - t.sparse.head.t) / tMax))
-    val enc = encoder(encFc(Tensor.fromRows(feats.toIndexedSeq)))
+    val frame = new SparseFrame(net, t)
+    val enc = encoder(encFc(Tensor.fromRows(frame.rows.toIndexedSeq)))
     val rows = times.map { tt =>
       val lin = Recoverer.interpXY(t, tt)
-      val q = queryFc(new Tensor(1, 3,
-        Array(net.normX(lin.x), net.normY(lin.y), (tt - t.sparse.head.t) / tMax)))
+      val q = queryFc(new Tensor(1, 3, frame.at(lin.x, lin.y, tt)))
       val scores = Ops.matmul(q, Ops.transpose(enc))
       val ctx = Ops.matmul(Ops.softmaxRows(scores), enc)
       Ops.sigmoid(head(Ops.concatCols(q, ctx)))
@@ -128,13 +123,11 @@ final class TeriModel(
     encFc.params ++ encoder.params ++ queryFc.params ++ cross.params ++ head.params
 
   def predictXY(t: Traj, times: Array[Double])(implicit tp: Tape): Tensor = {
-    val tMax = math.max(1e-9, t.sparse.last.t - t.sparse.head.t)
-    val feats = t.sparse.map(p =>
-      Array(net.normX(p.x), net.normY(p.y), (p.t - t.sparse.head.t) / tMax))
-    val enc = encoder(encFc(Tensor.fromRows(feats.toIndexedSeq)))
+    val frame = new SparseFrame(net, t)
+    val enc = encoder(encFc(Tensor.fromRows(frame.rows.toIndexedSeq)))
     val queries = times.map { tt =>
       val lin = Recoverer.interpXY(t, tt)
-      Array(net.normX(lin.x), net.normY(lin.y), (tt - t.sparse.head.t) / tMax)
+      frame.at(lin.x, lin.y, tt)
     }
     val q = queryFc(Tensor.fromRows(queries.toIndexedSeq))
     val ctx = cross(q, enc)

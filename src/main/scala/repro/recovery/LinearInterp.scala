@@ -1,6 +1,6 @@
 package repro.recovery
 
-import repro.geo.{Geo, RoadNetwork, XY}
+import repro.geo.RoadNetwork
 import repro.mm.MapMatcher
 import repro.traj.{MatchedPoint, MatchedRoute, Recovered, Traj}
 
@@ -21,14 +21,11 @@ final class LinearInterp(
 ) extends RouteRecoverer {
 
   def recover(t: Traj, mr: MatchedRoute): Recovered = {
-    val route = mr.routeOrFallback
+    val route = mr.route
     val arc = new RouteArc(net, route)
     // Matched point of each sparse point: (route position, ratio).
     val anchors = mr.perPoint.zipWithIndex.map { case (seg, i) =>
-      val p = XY(t.sparse(i).x, t.sparse(i).y)
-      val s = net.segments(seg)
-      val r = Geo.projectRatio(p, s.a, s.b)
-      (seg, r)
+      (seg, net.projectRatio(t.sparse(i).xy, seg))
     }
     var pos = 0
     val arcPos = anchors.map { case (seg, r) =>

@@ -3,9 +3,9 @@ package repro.recovery
 import repro.geo.RoadNetwork
 
 /** Arc-length parameterisation of a route: maps between (segment position,
-  * ratio) and cumulative distance along the route. Shared by the Linear
-  * baseline (constant-speed interpolation) and the constraint masks of the
-  * MTrajRec-family decoders.
+  * ratio) and cumulative distance along the route. Used by the Linear
+  * baseline (constant-speed interpolation), TRMMA's route and slot features,
+  * and the route lengths of Table II.
   */
 final class RouteArc(net: RoadNetwork, val route: Array[Int]) extends Serializable {
   /** Cumulative length before each route position. */

@@ -1,8 +1,8 @@
 package repro.recovery
 
-import repro.geo.{Geo, RoadNetwork, XY}
+import repro.geo.{Geo, RoadNetwork}
 import repro.nn._
-import repro.traj.{MatchedPoint, Recovered, Traj}
+import repro.traj.{MatchedPoint, Recovered, SparseFrame, Traj}
 import scala.util.Random
 
 /** Configuration of the MTrajRec-family seq2seq recovery baselines.
@@ -67,18 +67,17 @@ final class SeqRecModel(
   }
 
   /** Per-point encoder features, depending on `kind`. */
-  private def pointFeats(t: Traj, i: Int, nearSeg: Int): Array[Double] = {
+  private def pointFeats(t: Traj, frame: SparseFrame, i: Int, nearSeg: Int): Array[Double] = {
     val p = t.sparse(i)
-    val tMax = math.max(1e-9, t.sparse.last.t - t.sparse.head.t)
-    val tn = (p.t - t.sparse.head.t) / tMax
+    val tn = frame.timeFrac(p.t)
     val (dt, dist) =
       if (i == 0) (0.0, 0.0)
       else {
         val q = t.sparse(i - 1)
-        ((p.t - q.t) / tMax, math.hypot(p.x - q.x, p.y - q.y) / 3000.0)
+        ((p.t - q.t) / frame.tMax, math.hypot(p.x - q.x, p.y - q.y) / 3000.0)
       }
-    val base = Array(net.normX(p.x), net.normY(p.y), tn, dt, dist)
-    val n2v = (0 until node2vec.cols).map(j => node2vec(nearSeg, j)).toArray
+    val base = frame.row(i) ++ Array(dt, dist)
+    def n2v = node2vec.rowCopy(nearSeg)
     cfg.kind match {
       case "mtrajrec" => base
       case "rntrajrec" => base ++ n2v
@@ -95,14 +94,16 @@ final class SeqRecModel(
   }
 
   def prepare(t: Traj, withLabels: Boolean): SeqRecSample = {
-    val nearSeg = t.sparse.map(p => net.nearestSegments(XY(p.x, p.y), 1).head)
-    val feats = Array.tabulate(t.sparse.length)(i => pointFeats(t, i, nearSeg(i)))
+    val nearSeg = t.sparse.map(p => net.nearestSegments(p.xy, 1).head)
+    val frame = new SparseFrame(net, t)
+    val feats = Array.tabulate(t.sparse.length)(i => pointFeats(t, frame, i, nearSeg(i)))
     val times = Recoverer.slotTimeline(t, epsilon).times
     val L = times.length
     // The time-interpolated free-space position of each slot anchors its
     // constraint mask.
     val interp = times.map(Recoverer.interpXY(t, _))
-    val masks = interp.map(net.nearestSegments(_, SeqRecModel.MaskK))
+    val found = interp.map(net.candidates(_, SeqRecModel.MaskK))
+    val masks = found.map(_.ids)
     val maxLen = net.segments.map(_.lengthM).max
     // Per-candidate geometry: proximity to the interpolated position (two
     // decay scales), direction alignment with the travel direction, and
@@ -112,10 +113,10 @@ final class SeqRecModel(
     val maskFeat = Array.tabulate(L) { j =>
       // travel direction between bracketing observed points
       val (a, b) = Recoverer.bracket(t, times(j))
-      val dir = XY(b.x - a.x, b.y - a.y)
-      masks(j).flatMap { sid =>
-        val seg = net.segments(sid)
-        val d = Geo.pointSegDist(interp(j), seg.a, seg.b)
+      val dir = b.xy - a.xy
+      masks(j).indices.toArray.flatMap { k =>
+        val seg = net.segments(masks(j)(k))
+        val d = found(j).dists(k)
         Array(math.exp(-d / 50.0), math.exp(-d / 150.0),
           Geo.cosine(seg.dir, dir), seg.lengthM / maxLen)
       }

@@ -43,13 +43,15 @@ object Datasets {
     */
   def apply(name: String): CityData = cache.computeIfAbsent(name, city(_))
 
-  /** Train/val/test split 40/30/30 by trajectory index (paper VI-A). */
-  final case class Split[T](train: IndexedSeq[T], valid: IndexedSeq[T], test: IndexedSeq[T])
+  /** Train and test sets of the 40/30/30 split by trajectory index (paper
+    * VI-A). No model early-stops, so the middle 30 % (validation) goes unused.
+    */
+  final case class Split[T](train: IndexedSeq[T], test: IndexedSeq[T])
 
   def split[T](all: IndexedSeq[T]): Split[T] = {
     val n = all.length
     val nTrain = (n * 0.4).toInt
     val nVal = (n * 0.3).toInt
-    Split(all.slice(0, nTrain), all.slice(nTrain, nTrain + nVal), all.slice(nTrain + nVal, n))
+    Split(all.slice(0, nTrain), all.slice(nTrain + nVal, n))
   }
 }

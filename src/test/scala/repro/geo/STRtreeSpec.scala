@@ -21,7 +21,7 @@ class STRtreeSpec extends AnyFunSuite {
     val tree = STRtree.build(segs)
     (1 to 500).foreach { _ =>
       val p = XY(rnd.nextDouble() * 5000, rnd.nextDouble() * 5000)
-      assert(tree.nearest(p, 1).toSeq == bruteTopK(segs, p, 1).toSeq)
+      assert(tree.nearest(p, 1).ids.toSeq == bruteTopK(segs, p, 1).toSeq)
     }
   }
 
@@ -33,8 +33,8 @@ class STRtreeSpec extends AnyFunSuite {
       val got = tree.nearest(p, 10)
       val exp = bruteTopK(segs, p, 10)
       // Ties may be ordered differently; compare the distance sequences.
-      val gd = got.map(tree.distTo(p, _)).toSeq
-      val ed = exp.map(tree.distTo(p, _)).toSeq
+      val gd = got.dists.toSeq
+      val ed = exp.map(sid => Geo.pointSegDist(p, segs(sid).a, segs(sid).b)).toSeq
       assert(gd.zip(ed).forall { case (a, b) => math.abs(a - b) < 1e-9 }, s"$gd vs $ed")
     }
   }
@@ -44,28 +44,43 @@ class STRtreeSpec extends AnyFunSuite {
     val tree = STRtree.build(segs)
     (1 to 100).foreach { _ =>
       val p = XY(rnd.nextDouble() * 5000, rnd.nextDouble() * 5000)
-      val ds = tree.nearest(p, 8).map(tree.distTo(p, _))
+      val ds = tree.nearest(p, 8).dists
       assert(ds.sliding(2).forall(w => w.length < 2 || w(0) <= w(1) + 1e-12))
+    }
+  }
+
+  test("returned distances are the point-to-segment distances of the returned ids, bit for bit") {
+    val segs = randomSegments(300)
+    val tree = STRtree.build(segs)
+    (1 to 100).foreach { _ =>
+      val p = XY(rnd.nextDouble() * 5000, rnd.nextDouble() * 5000)
+      val c = tree.nearest(p, 10)
+      assert(c.ids.length == 10 && c.dists.length == 10)
+      c.ids.indices.foreach { j =>
+        val s = segs(c.ids(j))
+        assert(c.dists(j) == Geo.pointSegDist(p, s.a, s.b))
+      }
     }
   }
 
   test("k larger than segment count returns all segments") {
     val segs = randomSegments(5)
     val tree = STRtree.build(segs)
-    assert(tree.nearest(XY(0, 0), 50).length == 5)
+    assert(tree.nearest(XY(0, 0), 50).ids.length == 5)
   }
 
   test("k = 0 and empty input behave") {
     val segs = randomSegments(10)
     val tree = STRtree.build(segs)
-    assert(tree.nearest(XY(0, 0), 0).isEmpty)
+    assert(tree.nearest(XY(0, 0), 0).ids.isEmpty)
     intercept[IllegalArgumentException](STRtree.build(Array.empty[Segment]))
   }
 
   test("single-segment tree") {
     val s = Segment(0, 0, 1, XY(0, 0), XY(10, 0), 10)
     val tree = STRtree.build(Array(s))
-    assert(tree.nearest(XY(5, 3), 3).toSeq == Seq(0))
-    assert(math.abs(tree.distTo(XY(5, 3), 0) - 3.0) < 1e-12)
+    val c = tree.nearest(XY(5, 3), 3)
+    assert(c.ids.toSeq == Seq(0))
+    assert(math.abs(c.dists(0) - 3.0) < 1e-12)
   }
 }

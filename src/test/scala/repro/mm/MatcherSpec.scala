@@ -2,7 +2,10 @@ package repro.mm
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestWorld
+import repro.core.{Mma, MmaConfig, MmaModel}
 import repro.eval.Metrics
+import repro.geo.Geo
+import repro.recovery.RouteArc
 import repro.traj.Traj
 
 /** Classical and learned map matchers on the shared small world. */
@@ -31,10 +34,31 @@ class MatcherSpec extends AnyFunSuite {
     val t = testSet.head
     val per = nearest.matchPoints(t)
     per.indices.foreach { i =>
-      val p = repro.geo.XY(t.sparse(i).x, t.sparse(i).y)
-      val d = net.rtree.distTo(p, per(i))
-      val dAny = net.nearestSegments(p, 1).map(net.rtree.distTo(p, _)).head
-      assert(math.abs(d - dAny) < 1e-9)
+      val p = t.sparse(i).xy
+      val s = net.segments(per(i))
+      val dAny = net.candidates(p, 1).dists.head
+      assert(math.abs(Geo.pointSegDist(p, s.a, s.b) - dAny) < 1e-9)
+    }
+  }
+
+  test("every point matcher's route is non-empty, connected, repeat-free and passes its per-point segments in order") {
+    val matchers: Seq[PointMatcher] = Seq(nearest, fmm, lhmm,
+      new Mma(MmaModel.init(net, MmaConfig(), node2vec), planner),
+      new DeepMm(DeepMmModel.init(net), planner),
+      new GraphMm(GraphMmModel.init(net, node2vec), planner))
+    for (m <- matchers; t <- testSet) {
+      val mr = m.matchTraj(t)
+      val r = mr.route
+      assert(r.nonEmpty, s"${m.name} traj ${t.id}: empty route")
+      (1 until r.length).foreach { k =>
+        assert(r(k) != r(k - 1), s"${m.name} traj ${t.id}: ${r(k)} repeats at $k")
+        assert(net.nextSegments(r(k - 1)).contains(r(k)), s"${m.name} traj ${t.id}: break at $k")
+      }
+      var pos = 0
+      mr.perPoint.foreach { s =>
+        pos = RouteArc.posOf(r, s, pos)
+        assert(pos >= 0, s"${m.name} traj ${t.id}: per-point segment $s out of order")
+      }
     }
   }
 
@@ -121,8 +145,8 @@ class MatcherSpec extends AnyFunSuite {
     val t = testSet.head
     val per = dm.predictSegments(t)
     per.indices.foreach { i =>
-      val p = repro.geo.XY(t.sparse(i).x, t.sparse(i).y)
-      val d = net.rtree.distTo(p, per(i))
+      val s = net.segments(per(i))
+      val d = Geo.pointSegDist(t.sparse(i).xy, s.a, s.b)
       assert(d < 2000, s"prediction $d m away")
     }
   }

@@ -215,6 +215,39 @@ class ModuleSpec extends AnyFunSuite {
     assert(!p1.zip(p3).forall { case (a, b) => a.sameElements(b) }, "the seed must matter")
   }
 
+  test("Trainer.step's update equals 3 chunks on their own tapes summed in order, bit for bit") {
+    // The chunks do not depend on the host's core count: a batch is always
+    // cut into 3 in sample order, whatever the pool's size.
+    val r = new Random(11)
+    val data = (0 until 42).map(_ => (Array(r.nextGaussian(), r.nextGaussian()), r.nextGaussian()))
+    def lossOf(m: Mlp)(s: (Array[Double], Double), tp: Tape): Tensor =
+      Ops.mseSum(m(new Tensor(1, 2, s._1))(tp), Array(s._2))(tp)
+    val (a, b) = (Mlp(2, 8, 1, new Random(3)), Mlp(2, 8, 1, new Random(3)))
+    val (optA, optB) = (new Adam(a.params, lr = 0.01), new Adam(b.params, lr = 0.01))
+    Seq(data.take(10), data.slice(10, 42)).foreach { batch =>
+      val lossA = Trainer.step(batch, a.params, optA, lossOf(a))
+      val chunks = batch.grouped(math.ceil(batch.size / 3.0).toInt).toSeq
+      assert(chunks.length == 3)
+      val acc = b.params.map(p => new Array[Double](p.size))
+      var lossB = 0.0
+      chunks.foreach { chunk =>
+        val tp = new GradTape
+        val losses = chunk.map(lossOf(b)(_, tp))
+        var chunkLoss = 0.0
+        losses.foreach(l => chunkLoss += l.data(0))
+        lossB += chunkLoss
+        tp.backward(losses.reduceLeft(Ops.add(_, _)(tp)))
+        b.params.zip(acc).foreach { case (p, g) =>
+          val gp = tp.grad(p)
+          g.indices.foreach(i => g(i) += gp(i) / batch.size)
+        }
+      }
+      optB.step(acc)
+      assert(lossA == lossB / batch.size)
+      assert(a.params.zip(b.params).forall { case (pa, pb) => pa.data.sameElements(pb.data) })
+    }
+  }
+
   test("gradient clipping caps the applied norm") {
     val w = new Tensor(1, 1, Array(0.0))
     val opt = new Adam(Seq(w), lr = 1.0, clipNorm = 1.0)

@@ -146,10 +146,10 @@ class RecoverySpec extends AnyFunSuite {
     val out = new FreeSpaceRec(m, "DHTR").recover(testSet.head)
     val t = testSet.head
     t.sparseIdxInDense.zipWithIndex.foreach { case (di, si) =>
-      val p = repro.geo.XY(t.sparse(si).x, t.sparse(si).y)
-      val d = net.rtree.distTo(p, out.points(di).seg)
-      val dBest = net.nearestSegments(p, 1).map(net.rtree.distTo(p, _)).head
-      assert(math.abs(d - dBest) < 1e-9)
+      val p = t.sparse(si).xy
+      val s = net.segments(out.points(di).seg)
+      val dBest = net.candidates(p, 1).dists.head
+      assert(math.abs(repro.geo.Geo.pointSegDist(p, s.a, s.b) - dBest) < 1e-9)
     }
   }
 }
