@@ -17,7 +17,8 @@ so an interrupted series can be resumed.
 sides' untraced runs by seed. For every end-to-end metric of BENCHMARK.json
 it reports each side's median and quartiles
 (statistics.quantiles(values, n=4), as perfbench/steadiness.py), the
-median's change in percent, and how many pairs the change won. It also
+median's change in percent, how many pairs the change won, and a verdict
+(see `verdict`). It also
 says whether each method's `digest` line, and the `trained parameters`
 digest of the set-up, was equal on every pair. Traced logs, which may come
 from one workload only, give per-seed per-layer values and, with two or
@@ -98,6 +99,34 @@ def spread(values):
     return round((q3 - q1) / abs(med), 4) if med else None
 
 
+def verdict(parent, change, better, bound):
+    """One end-to-end metric's reading over paired runs, the first of these
+    that holds:
+
+    - `gain`: the change wins at least 90 % of the pairs (ties count for
+      neither side) and the medians differ, in the better direction, by more
+      than the parent's interquartile range;
+    - `worse`: the change's median is worse than the parent's by more than
+      `bound`, a fraction of the parent's median;
+    - `unresolved`: the parent's interquartile range over its median is
+      wider than `bound`, unless every run of the change reads better than
+      every run of the parent;
+    - `held`: every other case.
+    """
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    q1, p_med, q3 = statistics.quantiles(parent, n=4)
+    c_med = statistics.median(change)
+    if wins >= 0.9 * len(parent) and sign * (c_med - p_med) > q3 - q1:
+        return "gain"
+    if -sign * (c_med - p_med) > bound * abs(p_med):
+        return "worse"
+    best_parent = max(parent) if better == "higher" else min(parent)
+    if q3 - q1 > bound * abs(p_med) and not all(sign * (c - best_parent) > 0 for c in change):
+        return "unresolved"
+    return "held"
+
+
 def order_note(pairs):
     """Which side ran first on each seed, from the logs' modification times."""
     first = {seed: "parent" if p["parent"]["mtime"] < p["change"]["mtime"] else "change"
@@ -141,6 +170,7 @@ def workload_record(pairs, end_to_end):
             "median_change_pct": round(100 * (statistics.median(vals["change"]) - p_med) / p_med, 2)
             if p_med else None,
             "change_better_pairs": sum(sign * (c - p) > 0 for p, c in zip(vals["parent"], vals["change"])),
+            "verdict": verdict(vals["parent"], vals["change"], m["better"], m["bound"]),
         }
     return record
 
@@ -182,6 +212,7 @@ def write(args):
                                   seconds=int(seconds) if seconds else "<seconds>", trace=0),
         "units_note": "latencies and rates are in reference-seconds (perfbench/README.md); setup_s in seconds",
         "quartiles": "statistics.quantiles(values, n=4), as perfbench/steadiness.py",
+        "verdicts": " ".join(verdict.__doc__.split()),
         "env": env,
         "workloads": {w: workload_record(v, bench["end_to_end"]) for w, v in sorted(untraced.items())},
     }
@@ -218,6 +249,11 @@ def write(args):
     for w, rec in out["workloads"].items():
         print(f"{w}: {rec['pairs']} pairs, failed {rec['failed']}, outputs identical {rec['outputs_identical']} "
               f"(trained parameters {rec['trained_parameters_identical']})")
+        for name, m in rec["metrics"].items():
+            if m["verdict"] != "held":
+                pct = m["median_change_pct"]
+                print(f"  {name}: {m['verdict']} (median {'n/a' if pct is None else f'{pct:+} %'}, "
+                      f"{m['change_better_pairs']}/{rec['pairs']} pairs better)")
 
 
 def main():

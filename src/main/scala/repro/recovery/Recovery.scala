@@ -66,20 +66,42 @@ object Recoverer {
     new SlotTimeline(times.toArray, anchor.toArray)
   }
 
-  /** The observed points bracketing time `tt`: the last one before it (the
-    * first point if none) and its successor (itself at the end).
+  /** Index of the last observed point before time `tt` (the first point
+    * if none), walking forward from index `from`, which is not past it.
     */
-  def bracket(t: Traj, tt: Double): (GpsPoint, GpsPoint) = {
-    var i = 0
+  private def lastBefore(t: Traj, tt: Double, from: Int): Int = {
+    var i = from
     while (i + 1 < t.sparse.length && t.sparse(i + 1).t < tt) i += 1
-    (t.sparse(i), t.sparse(math.min(i + 1, t.sparse.length - 1)))
+    i
   }
+
+  /** `lastBefore` of each of `times`, in one forward walk: each time's walk
+    * starts at the previous time's point unless the times decrease.
+    */
+  def lastBefore(t: Traj, times: Array[Double]): Array[Int] = {
+    val out = new Array[Int](times.length)
+    var j = 0
+    while (j < times.length) {
+      out(j) = lastBefore(t, times(j), if (j > 0 && times(j) >= times(j - 1)) out(j - 1) else 0)
+      j += 1
+    }
+    out
+  }
+
+  /** The observed points bracketing a time whose `lastBefore` is `i`: that
+    * point and its successor (itself at the end).
+    */
+  def bracket(t: Traj, i: Int): (GpsPoint, GpsPoint) =
+    (t.sparse(i), t.sparse(math.min(i + 1, t.sparse.length - 1)))
 
   /** Free-space position at time `tt`, linearly interpolated between the
     * observed points bracketing it.
     */
-  def interpXY(t: Traj, tt: Double): XY = {
-    val (a, b) = bracket(t, tt)
+  def interpXY(t: Traj, tt: Double): XY = interpXY(t, tt, lastBefore(t, tt, 0))
+
+  /** `interpXY(t, tt)`, given `tt`'s `lastBefore` index `i`. */
+  def interpXY(t: Traj, tt: Double, i: Int): XY = {
+    val (a, b) = bracket(t, i)
     val f = if (b.t - a.t < 1e-9) 0.0 else (tt - a.t) / (b.t - a.t)
     XY(a.x + (b.x - a.x) * f, a.y + (b.y - a.y) * f)
   }

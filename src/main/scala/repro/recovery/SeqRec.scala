@@ -38,6 +38,7 @@ final case class SeqRecSample(
     nearSeg: Array[Int],           // nearest segment per sparse point (graph feats)
     masks: Array[Array[Int]],      // L x MaskK candidate ids per dense slot
     maskFeat: Array[Array[Double]], // L x (MaskK*4) per-candidate geometry
+    times: Array[Double],          // L slot times
     tNorm: Array[Double],          // L normalised slot times
     targetSeg: Array[Int],         // L ground-truth segments (-1 at inference)
     targetR: Array[Double],        // L ground-truth ratios
@@ -99,9 +100,10 @@ final class SeqRecModel(
     val feats = Array.tabulate(t.sparse.length)(i => pointFeats(t, frame, i, nearSeg(i)))
     val times = Recoverer.slotTimeline(t, epsilon).times
     val L = times.length
+    val before = Recoverer.lastBefore(t, times)
     // The time-interpolated free-space position of each slot anchors its
     // constraint mask.
-    val interp = times.map(Recoverer.interpXY(t, _))
+    val interp = Array.tabulate(L)(j => Recoverer.interpXY(t, times(j), before(j)))
     val found = interp.map(net.candidates(_, SeqRecModel.MaskK))
     val masks = found.map(_.ids)
     val maxLen = net.segments.map(_.lengthM).max
@@ -112,7 +114,7 @@ final class SeqRecModel(
     // training data than we generate.
     val maskFeat = Array.tabulate(L) { j =>
       // travel direction between bracketing observed points
-      val (a, b) = Recoverer.bracket(t, times(j))
+      val (a, b) = Recoverer.bracket(t, before(j))
       val dir = b.xy - a.xy
       masks(j).indices.toArray.flatMap { k =>
         val seg = net.segments(masks(j)(k))
@@ -126,7 +128,7 @@ final class SeqRecModel(
     val (tSeg, tR) =
       if (withLabels) (t.dense.map(_.seg), t.dense.map(_.r))
       else (Array.fill(L)(-1), new Array[Double](L))
-    SeqRecSample(feats, nearSeg, masks, maskFeat, tNorm, tSeg, tR)
+    SeqRecSample(feats, nearSeg, masks, maskFeat, times, tNorm, tSeg, tR)
   }
 
   /** Encoder states (pooled variants collapse to a single row). */
@@ -186,7 +188,6 @@ final class SeqRecModel(
     val s = prepare(t, withLabels = false)
     val enc = encode(s)
     var h = Ops.meanRows(enc)
-    val times = Recoverer.slotTimeline(t, epsilon).times
     val out = new Array[MatchedPoint](s.masks.length)
     var prevSeg = s.masks(0)(0)
     var prevR = 0.0
@@ -196,7 +197,7 @@ final class SeqRecModel(
       val (logits, ctx) = slotLogits(h, enc, s, j)
       val seg = s.masks(j)(logits.argmax(0, logits.size))
       val r = Ops.sigmoid(ratioMlp(Ops.concatCols(h, ctx))).data(0)
-      out(j) = MatchedPoint(seg, math.min(0.999999, r), times(j))
+      out(j) = MatchedPoint(seg, math.min(0.999999, r), s.times(j))
       prevSeg = seg; prevR = r
       j += 1
     }

@@ -76,6 +76,8 @@ object ReferenceSearch {
   def dijkstra(net: RoadNetwork, src: Int, maxDist: Double = Inf): Array[Double] =
     nodeSearch(net, src, bound = maxDist).dist
 
+  def aStar(net: RoadNetwork, src: Int, dst: Int): Double = nodeSearch(net, src, dst).dist(dst)
+
   def nodePathSegments(net: RoadNetwork, src: Int, dst: Int): Option[List[Int]] = {
     val s = nodeSearch(net, src, dst)
     if (s.dist(dst) < Inf) Some(s.arcsTo(src, dst)) else None

@@ -1,5 +1,6 @@
 package repro.geo
 
+import java.util.concurrent.{Callable, Executors, TimeUnit}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestWorld
 import scala.util.Random
@@ -180,5 +181,101 @@ class ShortestPathSpec extends AnyFunSuite {
         assert(p.plan(sa, sb) == ReferenceSearch.segmentSearch(flat, sa, sb, cost).getOrElse(List(sb)), s"$sa->$sb")
       }
     }
+  }
+
+  /** `n` with every road pointing from the lower node id to the higher: the
+    * same node and segment counts, a two-way road becomes two parallel
+    * one-way segments, and no node reaches a node of a lower id.
+    */
+  private def upwards(n: RoadNetwork): RoadNetwork =
+    new RoadNetwork(n.name + "-up", n.nodes, n.segments.map(s =>
+      if (s.from < s.to) s else s.copy(from = s.to, to = s.from, a = s.b, b = s.a)))
+
+  /** A query, the name of its network, and its answer on fresh state from
+    * `ReferenceSearch`. Answers are compared bit for bit: doubles by their
+    * raw bits, after which a returned array is scribbled over.
+    */
+  private final case class Query(desc: String, run: () => Any, fresh: () => Any) {
+    def kind: String = desc.split(' ')(1)
+  }
+
+  private def bits(a: Array[Double]): Seq[Long] = a.toSeq.map(java.lang.Double.doubleToRawLongBits)
+
+  private def scribbled(a: Array[Double]): Seq[Long] = {
+    val b = bits(a)
+    java.util.Arrays.fill(a, -1.0)
+    b
+  }
+
+  /** A seeded mix of every kind of query over networks of different vertex
+    * counts, two of them with equal counts (`TestWorld.net` and its
+    * `upwards` variant).
+    */
+  private def mixedQueries(seed: Long, count: Int): IndexedSeq[Query] = {
+    val nets = IndexedSeq(net, TestWorld.net, upwards(TestWorld.net), TestWorld.oneWayDeadEnd)
+    val lengths = nets.map(n => Array.tabulate(n.numSegments)(u => n.nextSegments(u).map(n.segments(_).lengthM)))
+    val rnd = new Random(seed)
+    IndexedSeq.fill(count) {
+      val k = rnd.nextInt(nets.length)
+      val n = nets(k)
+      val a = rnd.nextInt(n.numNodes); val b = rnd.nextInt(n.numNodes)
+      val bound = 100 + 600 * rnd.nextDouble()
+      rnd.nextInt(6) match {
+        case 0 => Query(s"${n.name} dijkstra $a", () => scribbled(ShortestPath.dijkstra(n, a)),
+            () => bits(ReferenceSearch.dijkstra(n, a)))
+        case 1 => Query(s"${n.name} boundedDijkstra $a $bound", () => scribbled(ShortestPath.dijkstra(n, a, bound)),
+            () => bits(ReferenceSearch.dijkstra(n, a, bound)))
+        case 2 =>
+          val drawn = Array.fill(1 + rnd.nextInt(4))(rnd.nextInt(n.numNodes))
+          val targets = drawn ++ drawn.take(1)
+          val maxDist = if (rnd.nextBoolean()) bound else Double.PositiveInfinity
+          Query(s"${n.name} dijkstraTo $a $maxDist ${targets.toSeq}",
+            () => bits(ShortestPath.dijkstraTo(n, a, maxDist, targets)),
+            () => bits(targets.map(ReferenceSearch.dijkstra(n, a, maxDist)(_))))
+        case 3 => Query(s"${n.name} aStar $a $b", () => bits(Array(ShortestPath.aStar(n, a, b))),
+            () => bits(Array(ReferenceSearch.aStar(n, a, b))))
+        case 4 => Query(s"${n.name} nodePathSegments $a $b", () => ShortestPath.nodePathSegments(n, a, b),
+            () => ReferenceSearch.nodePathSegments(n, a, b))
+        case _ =>
+          val sa = rnd.nextInt(n.numSegments); val sb = rnd.nextInt(n.numSegments)
+          Query(s"${n.name} segmentSearch $sa $sb", () => ShortestPath.segmentSearch(n, sa, sb, lengths(k)),
+            () => ReferenceSearch.segmentSearch(n, sa, sb, (_, next) => n.segments(next).lengthM))
+      }
+    }
+  }
+
+  private lazy val queries = mixedQueries(seed = 41, count = 1500)
+
+  test("a sequence of mixed queries over several networks equals fresh-state reference searches, bit for bit") {
+    queries.foreach(q => assert(q.run() == q.fresh(), q.desc))
+    assert(queries.map(_.kind).distinct.size == 6)
+    // The upwards variant leaves targets unreachable.
+    assert(queries.exists(q => q.desc.startsWith("tw-up nodePathSegments") && q.fresh() == None))
+  }
+
+  test("writing into the array dijkstra returned does not change the next query") {
+    val first = ShortestPath.dijkstra(net, 5, maxDist = 500)
+    java.util.Arrays.fill(first, 0.0)
+    assert(bits(ShortestPath.dijkstra(net, 5, maxDist = 500)) == bits(ReferenceSearch.dijkstra(net, 5, 500)))
+    assert(bits(ShortestPath.dijkstraTo(net, 5, 500, Array(0, 7))) ==
+      bits(Array(0, 7).map(ReferenceSearch.dijkstra(net, 5, 500)(_))))
+  }
+
+  test("a query that fails on a bad target leaves the next query unaffected") {
+    intercept[IndexOutOfBoundsException](ShortestPath.dijkstraTo(net, 0, 500, Array(3, net.numNodes, 4)))
+    assert(bits(ShortestPath.dijkstra(net, 0)) == bits(ReferenceSearch.dijkstra(net, 0)))
+  }
+
+  test("four threads running the same queries at once each get the sequential answers") {
+    val sequential = queries.map(_.run())
+    val pool = Executors.newFixedThreadPool(4)
+    try {
+      val start = new java.util.concurrent.CountDownLatch(1)
+      val futures = (1 to 4).map(_ => pool.submit(new Callable[IndexedSeq[Any]] {
+        def call(): IndexedSeq[Any] = { start.await(); queries.map(_.run()) }
+      }))
+      start.countDown()
+      futures.foreach(f => assert(f.get(5, TimeUnit.MINUTES) == sequential))
+    } finally pool.shutdownNow()
   }
 }

@@ -66,6 +66,23 @@ class RecoverySpec extends AnyFunSuite {
       Seq(true, false, true, true, false, false, true, false, true, true))
   }
 
+  test("lastBefore walks to the same point as a scan from the first point") {
+    def scan(t: Traj, tt: Double): Int = {
+      var i = 0
+      while (i + 1 < t.sparse.length && t.sparse(i + 1).t < tt) i += 1
+      i
+    }
+    val rnd = new scala.util.Random(7)
+    testSet.take(20).foreach { t =>
+      val slots = Recoverer.slotTimeline(t, cfg.epsilon).times
+      // Times that tie with observed points, fall back, or lie outside.
+      val mixed = slots ++ Array(t.sparse(1).t, -1.0, t.sparse.last.t + 100) ++
+        Array.fill(20)(t.sparse.last.t * rnd.nextDouble())
+      Seq(slots, mixed).foreach(times =>
+        assert(Recoverer.lastBefore(t, times).toSeq == times.toSeq.map(scan(t, _)), s"${t.id}"))
+    }
+  }
+
   test("Linear on the truth matcher is exact for constant-speed segments") {
     val lin = new LinearInterp(net, new TruthMatcher, cfg.epsilon, "Linear")
     testSet.take(20).foreach { t =>
