@@ -7,7 +7,10 @@ write the pairs' statistics as a BENCH_<n>.json.
     python3 scripts/bench_json.py write --logs LOGDIR --out BENCH_<n>.json \\
         --title TEXT --parent-commit SHA [--host TEXT]
 
-`run` calls `python3 perfbench/run.py` in each checkout, one run at a time:
+`run` first checks that both checkouts hold the same benchmark code:
+BENCHMARK.json and every file under perfbench/ except build outputs. It
+exits naming the files that differ, before any run. It then calls
+`python3 perfbench/run.py` in each checkout, one run at a time:
 the parent first on odd seeds and the change first on even seeds. It saves
 each run's whole output as LOGDIR/<side>-<workload>-s<seed>[-trace].log,
 with side `parent` or `change`. It skips a log that already holds a result,
@@ -29,6 +32,7 @@ is read from the logs' modification times.
 
 import argparse
 import glob
+import hashlib
 import json
 import os
 import re
@@ -70,9 +74,49 @@ def seed_list(text):
     return list(range(int(lo), int(hi or lo) + 1))
 
 
+# Build outputs under perfbench/, as .gitignore lists them.
+BENCH_BUILD_DIRS = {"target", os.path.join("project", "target"), os.path.join("project", "project")}
+
+
+def bench_code(checkout):
+    """sha256 of BENCHMARK.json and of each benchmark source and build file
+    under perfbench/, by path relative to `checkout`."""
+    files = ["BENCHMARK.json"]
+    top = os.path.join(checkout, "perfbench")
+    for d, dirs, names in os.walk(top):
+        rel = os.path.relpath(d, top)
+        dirs[:] = [x for x in dirs
+                   if x != "__pycache__" and os.path.normpath(os.path.join(rel, x)) not in BENCH_BUILD_DIRS]
+        files += [os.path.relpath(os.path.join(d, n), checkout) for n in names]
+    hashes = {}
+    for f in files:
+        path = os.path.join(checkout, f)
+        if os.path.isfile(path):
+            with open(path, "rb") as fh:
+                hashes[f] = hashlib.sha256(fh.read()).hexdigest()
+    return hashes
+
+
+def check_same_bench_code(dirs):
+    """Exits, naming the differing files, unless both checkouts hold the
+    same benchmark code (choosing-metrics guide, section 6.3)."""
+    parent, change = (bench_code(dirs[side]) for side in SIDES)
+    differ = []
+    for f in sorted(set(parent) | set(change)):
+        if f not in parent:
+            differ.append(f"{f} (only in the change)")
+        elif f not in change:
+            differ.append(f"{f} (only in the parent)")
+        elif parent[f] != change[f]:
+            differ.append(f"{f} (contents differ)")
+    if differ:
+        raise SystemExit("benchmark code differs between the parent and the change checkout: " + ", ".join(differ))
+
+
 def run(args):
-    os.makedirs(args.logs, exist_ok=True)
     dirs = {"parent": args.parent, "change": args.change}
+    check_same_bench_code(dirs)
+    os.makedirs(args.logs, exist_ok=True)
     for seed in seed_list(args.seeds):
         for side in (SIDES if seed % 2 else SIDES[::-1]):
             path = log_path(args.logs, side, args.workload, seed, args.trace)

@@ -140,29 +140,39 @@ final class TrmmaModel(
   /** Decoder GRU input: previous point (segment id + ratio), the normalised
     * slot time, and the slot's gap-anchor features.
     */
-  private[core] def gruInput(seg: Int, r: Double, tNorm: Double, slotFeat: Array[Double])(implicit tp: Tape): Tensor =
-    Ops.concatCols(segEmbT(Array(seg)),
-      new Tensor(1, 6, Array(r, tNorm, slotFeat(0), slotFeat(1), slotFeat(2), slotFeat(3))))
+  private[core] def gruInput(seg: Int, r: Double, tNorm: Double, slotFeat: Array[Double])(implicit tp: Tape): Tensor = {
+    val x = tp.alloc(6)
+    x(0) = r; x(1) = tNorm
+    System.arraycopy(slotFeat, 0, x, 2, 4)
+    Ops.concatCols(segEmbT(Array(seg)), new Tensor(1, 6, x))
+  }
 
   /** Per-(slot, candidate) geometric features, pre-differenced and scaled
     * to segment-width resolution so the interpolation prior is linearly
     * separable (raw [0,1] arc fractions would need segment-width-resolution
     * hinges, which small MLPs cannot learn in few steps):
     * [d1, d2, distMid, lenNorm, fGap, arcLo, arcHi, aLin] where
-    * d1 = (aLin - start_k)/len_k and d2 = (end_k - aLin)/len_k.
+    * d1 = (aLin - start_k)/len_k and d2 = (end_k - aLin)/len_k. One row
+    * per route position `lo..hi`.
     */
-  def geoFeats(s: TrmmaSample, j: Int, lo: Int, hi: Int): Array[Array[Double]] = {
+  def geoFeats(s: TrmmaSample, j: Int, lo: Int, hi: Int)(implicit tp: Tape): Tensor = {
     val sf = s.slotFeat(j)
     val aLin = sf(3)
-    Array.tabulate(hi + 1 - lo) { k0 =>
-      val k = lo + k0
-      val start = s.routeFeat(k)(0); val end = s.routeFeat(k)(1)
+    val rows = hi + 1 - lo
+    val d = tp.alloc(rows * 8)
+    def clip(v: Double) = math.max(-4.0, math.min(4.0, v))
+    var k0 = 0
+    while (k0 < rows) {
+      val rf = s.routeFeat(lo + k0)
+      val start = rf(0); val end = rf(1)
       val len = math.max(1e-6, end - start)
-      def clip(v: Double) = math.max(-4.0, math.min(4.0, v))
-      Array(clip((aLin - start) / len), clip((end - aLin) / len),
-        clip((aLin - (start + end) / 2) / len),
-        s.routeFeat(k)(2), sf(0), sf(1), sf(2), aLin)
+      val o = k0 * 8
+      d(o) = clip((aLin - start) / len); d(o + 1) = clip((end - aLin) / len)
+      d(o + 2) = clip((aLin - (start + end) / 2) / len)
+      d(o + 3) = rf(2); d(o + 4) = sf(0); d(o + 5) = sf(1); d(o + 6) = sf(2); d(o + 7) = aLin
+      k0 += 1
     }
+    new Tensor(rows, 8, d)
   }
 
   /** The decoder heads (Eq. 15 and 18) over the encoding `hEnc` of one
@@ -229,7 +239,7 @@ final class TrmmaModel(
         // right anchor is as observable as Eq. 17's left one; DESIGN §3).
         // This is also what makes decoding cost |window|, not |route|.
         val lo = s.slotLo(j); val hi = s.slotHi(j)
-        val geo = Tensor.fromRows(geoFeats(s, j, lo, hi).toIndexedSeq)
+        val geo = geoFeats(s, j, lo, hi)
         val wWin = heads.classLogits(h, lo, hi, geo)
         val kTrue = math.min(hi, math.max(lo, s.densePos(j))) - lo
         val labels = new Array[Double](hi + 1 - lo)
@@ -249,13 +259,15 @@ final class TrmmaModel(
   /** Greedy decoding (Algorithm 2): fill every missing slot with the
     * order-constrained argmax segment (Eq. 17) and the regressed ratio.
     * `denseT` carries the slot timestamps; observed slots keep their
-    * matched points.
+    * matched points. Each slot's ops run on recycled [[Scratch]] arrays;
+    * only the hidden state, copied into `h`, and scalars outlive a slot.
     */
   def decode(s: TrmmaSample, denseT: Array[Double]): Array[MatchedPoint] = {
-    implicit val tp: Tape = NoTape
+    implicit val tp: Scratch = new Scratch
     val hEnc = encode(s)
     val heads = new Heads(hEnc)
-    var h = Ops.meanRows(hEnc)
+    val h = Ops.meanRows(hEnc)
+    val slot = tp.mark
     val L = denseT.length
     val out = new Array[MatchedPoint](L)
     var prevSeg = s.denseSeg(0)
@@ -265,7 +277,7 @@ final class TrmmaModel(
     val lastT = math.max(1, L - 1).toDouble
     var j = 1
     while (j < L) {
-      h = gru(gruInput(prevSeg, prevR, j / lastT, s.slotFeat(j)), h)
+      val hNext = gru(gruInput(prevSeg, prevR, j / lastT, s.slotFeat(j)), h)
       if (s.observed(j)) {
         prevSeg = s.denseSeg(j); prevR = s.denseR(j)
         // Advance the route position monotonically to this observed segment.
@@ -274,15 +286,17 @@ final class TrmmaModel(
         out(j) = MatchedPoint(prevSeg, prevR, denseT(j))
       } else {
         val lo = s.slotLo(j); val hi = math.max(s.slotLo(j), s.slotHi(j))
-        val geo = Tensor.fromRows(geoFeats(s, j, lo, hi).toIndexedSeq)
-        val w = heads.classLogits(h, lo, hi, geo)
+        val geo = geoFeats(s, j, lo, hi)
+        val w = heads.classLogits(hNext, lo, hi, geo)
         // Order constraint (Eq. 17) extended with the gap's right anchor:
         // candidates from max(prev position, left anchor) to right anchor.
         val best = lo + w.argmax(math.max(prevPos, lo) - lo, hi + 1 - lo)
-        val r = heads.ratioHead(h, lo, hi, w, best - lo, geo).data(0)
+        val r = heads.ratioHead(hNext, lo, hi, w, best - lo, geo).data(0)
         prevSeg = s.route(best); prevR = math.min(0.999999, r); prevPos = best
         out(j) = MatchedPoint(prevSeg, prevR, denseT(j))
       }
+      System.arraycopy(hNext.data, 0, h.data, 0, h.size)
+      tp.release(slot)
       j += 1
     }
     out

@@ -1,0 +1,65 @@
+package repro.geo
+
+/** Binary heap of (key, value) entries on two primitive arrays: a min-heap
+  * on the key, or a max-heap when `descending`. Its sift-up and sift-down
+  * are those of `java.util.PriorityQueue` ordered by
+  * `java.lang.Double.compare` on the key (reversed when `descending`), so
+  * entries with equal keys leave in the same order as they would from that
+  * queue.
+  */
+private[geo] final class Heap(descending: Boolean = false) {
+  private var keys = new Array[Double](64)
+  private var values = new Array[Int](64)
+  private var n = 0
+
+  def size: Int = n
+  def isEmpty: Boolean = n == 0
+
+  /** Empties the heap; its capacity stays. */
+  def clear(): Unit = n = 0
+
+  /** The first entry's key; the heap must not be empty. */
+  def peekKey: Double = keys(0)
+
+  /** `Double.compare` of two keys in this heap's order. */
+  private def cmp(a: Double, b: Double): Int =
+    if (descending) java.lang.Double.compare(b, a) else java.lang.Double.compare(a, b)
+
+  def add(key: Double, value: Int): Unit = {
+    if (n == keys.length) {
+      keys = java.util.Arrays.copyOf(keys, 2 * n)
+      values = java.util.Arrays.copyOf(values, 2 * n)
+    }
+    var k = n
+    n += 1
+    var moving = true
+    while (moving && k > 0) {
+      val parent = (k - 1) >>> 1
+      if (cmp(key, keys(parent)) >= 0) moving = false
+      else { keys(k) = keys(parent); values(k) = values(parent); k = parent }
+    }
+    keys(k) = key; values(k) = value
+  }
+
+  /** Removes the first entry and returns its value. */
+  def poll(): Int = {
+    val top = values(0)
+    n -= 1
+    val last = n
+    if (last > 0) {
+      val key = keys(last); val value = values(last)
+      val half = last >>> 1
+      var k = 0
+      var moving = true
+      while (moving && k < half) {
+        var child = 2 * k + 1
+        val right = child + 1
+        if (right < last && cmp(keys(child), keys(right)) > 0) child = right
+        if (cmp(key, keys(child)) <= 0) moving = false
+        else { keys(k) = keys(child); values(k) = values(child); k = child }
+      }
+      keys(k) = key; values(k) = value
+    }
+    top
+  }
+}

@@ -55,60 +55,6 @@ object ShortestPath {
   /** This thread's workspaces, by vertex count. */
   private val workspaces = ThreadLocal.withInitial[mutable.LongMap[Search]](() => mutable.LongMap.empty)
 
-  /** Binary min-heap of (key, vertex) entries on two primitive arrays. Its
-    * sift-up and sift-down are those of `java.util.PriorityQueue` ordered by
-    * `java.lang.Double.compare` on the key, so entries with equal keys pop
-    * in the same order as they would from that queue.
-    */
-  private final class Heap {
-    private var keys = new Array[Double](64)
-    private var verts = new Array[Int](64)
-    private var size = 0
-
-    def isEmpty: Boolean = size == 0
-
-    /** Empties the heap; its capacity stays. */
-    def clear(): Unit = size = 0
-
-    def add(key: Double, v: Int): Unit = {
-      if (size == keys.length) {
-        keys = java.util.Arrays.copyOf(keys, 2 * size)
-        verts = java.util.Arrays.copyOf(verts, 2 * size)
-      }
-      var k = size
-      size += 1
-      var moving = true
-      while (moving && k > 0) {
-        val parent = (k - 1) >>> 1
-        if (java.lang.Double.compare(key, keys(parent)) >= 0) moving = false
-        else { keys(k) = keys(parent); verts(k) = verts(parent); k = parent }
-      }
-      keys(k) = key; verts(k) = v
-    }
-
-    /** Removes the least entry and returns its vertex. */
-    def poll(): Int = {
-      val top = verts(0)
-      size -= 1
-      val n = size
-      if (n > 0) {
-        val key = keys(n); val v = verts(n)
-        val half = n >>> 1
-        var k = 0
-        var moving = true
-        while (moving && k < half) {
-          var child = 2 * k + 1
-          val right = child + 1
-          if (right < n && java.lang.Double.compare(keys(child), keys(right)) > 0) child = right
-          if (java.lang.Double.compare(key, keys(child)) <= 0) moving = false
-          else { keys(k) = keys(child); verts(k) = verts(child); k = child }
-        }
-        keys(k) = key; verts(k) = v
-      }
-      top
-    }
-  }
-
   /** Best-first search from `src` over `n` vertices, on this thread's
     * workspace for `n`; returns `read` of the finished search, which must
     * copy what it keeps: the workspace is reset for the next search. The

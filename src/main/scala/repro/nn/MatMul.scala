@@ -23,9 +23,11 @@ private[nn] object MatMul {
 
   /** out(i, j) = Σ_p a(i, p)·b(p, j) over the p with a(i, p) != 0, in
     * ascending p. `out` must be zero on entry. Each row lists its non-zero
-    * p once, then fills eight, four, then one output column at a time.
+    * p once, then fills eight, four, then one output column at a time. A
+    * finite column `b` (n = 1) goes to [[mulColumn]].
     */
   def mul(a: Array[Double], b: Array[Double], out: Array[Double], m: Int, k: Int, n: Int): Unit = {
+    if (n == 1 && allFinite(b, k)) { mulColumn(a, b, out, m, k); return }
     val nz = new Array[Int](k)
     var i = 0
     while (i < m) {
@@ -64,6 +66,42 @@ private[nn] object MatMul {
         out(oo + j) = s
         j += 1
       }
+      i += 1
+    }
+  }
+
+  private def allFinite(b: Array[Double], k: Int): Boolean = {
+    var p = 0
+    while (p < k && java.lang.Double.isFinite(b(p))) p += 1
+    p == k
+  }
+
+  /** `mul` for a finite column b (k x 1), four rows at a time, every row's
+    * terms in ascending p with none skipped. A skipped term of `mul` has
+    * a(i, p) == 0, so with b(p) finite it is ±0.0; a sum that starts at
+    * +0.0 is never -0.0, and adding ±0.0 to it leaves it unchanged. The
+    * result is therefore bit-identical to `mul`'s, without one serial add
+    * chain per row.
+    */
+  private def mulColumn(a: Array[Double], b: Array[Double], out: Array[Double], m: Int, k: Int): Unit = {
+    var i = 0
+    while (i + 4 <= m) {
+      val a0 = i * k; val a1 = a0 + k; val a2 = a1 + k; val a3 = a2 + k
+      var s0 = 0.0; var s1 = 0.0; var s2 = 0.0; var s3 = 0.0
+      var p = 0
+      while (p < k) {
+        val bv = b(p)
+        s0 += a(a0 + p) * bv; s1 += a(a1 + p) * bv; s2 += a(a2 + p) * bv; s3 += a(a3 + p) * bv
+        p += 1
+      }
+      out(i) = s0; out(i + 1) = s1; out(i + 2) = s2; out(i + 3) = s3
+      i += 4
+    }
+    while (i < m) {
+      val ao = i * k
+      var s = 0.0; var p = 0
+      while (p < k) { s += a(ao + p) * b(p); p += 1 }
+      out(i) = s
       i += 1
     }
   }

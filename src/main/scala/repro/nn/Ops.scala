@@ -12,7 +12,7 @@ object Ops {
   def matmul(a: Tensor, b: Tensor)(implicit tp: Tape): Tensor = {
     require(a.cols == b.rows, s"matmul $a * $b")
     val m = a.rows; val k = a.cols; val n = b.cols
-    val out = new Array[Double](m * n)
+    val out = tp.alloc(m * n)
     MatMul.mul(a.data, b.data, out, m, k, n)
     val y = new Tensor(m, n, out)
     if (tp.active) tp.record(y) { () =>
@@ -25,7 +25,7 @@ object Ops {
 
   def transpose(a: Tensor)(implicit tp: Tape): Tensor = {
     val m = a.rows; val n = a.cols
-    val out = new Array[Double](m * n)
+    val out = tp.alloc(m * n)
     var r = 0
     while (r < m) { var c = 0; while (c < n) { out(c * m + r) = a.data(r * n + c); c += 1 }; r += 1 }
     val y = new Tensor(n, m, out)
@@ -39,7 +39,7 @@ object Ops {
 
   def add(a: Tensor, b: Tensor)(implicit tp: Tape): Tensor = {
     require(a.rows == b.rows && a.cols == b.cols, s"add $a + $b")
-    val out = new Array[Double](a.size)
+    val out = tp.alloc(a.size)
     var k = 0; while (k < out.length) { out(k) = a.data(k) + b.data(k); k += 1 }
     val y = new Tensor(a.rows, a.cols, out)
     if (tp.active) tp.record(y) { () =>
@@ -53,7 +53,7 @@ object Ops {
   def addRow(a: Tensor, b: Tensor)(implicit tp: Tape): Tensor = {
     require(b.rows == 1 && a.cols == b.cols, s"addRow $a + $b")
     val n = a.cols
-    val out = new Array[Double](a.size)
+    val out = tp.alloc(a.size)
     var r = 0
     while (r < a.rows) { var c = 0; while (c < n) { val k = r * n + c; out(k) = a.data(k) + b.data(c); c += 1 }; r += 1 }
     val y = new Tensor(a.rows, n, out)
@@ -67,7 +67,7 @@ object Ops {
 
   def mulElem(a: Tensor, b: Tensor)(implicit tp: Tape): Tensor = {
     require(a.rows == b.rows && a.cols == b.cols, s"mulElem $a * $b")
-    val out = new Array[Double](a.size)
+    val out = tp.alloc(a.size)
     var k = 0; while (k < out.length) { out(k) = a.data(k) * b.data(k); k += 1 }
     val y = new Tensor(a.rows, a.cols, out)
     if (tp.active) tp.record(y) { () =>
@@ -78,7 +78,7 @@ object Ops {
   }
 
   def scale(a: Tensor, c: Double)(implicit tp: Tape): Tensor = {
-    val out = new Array[Double](a.size)
+    val out = tp.alloc(a.size)
     var k = 0; while (k < out.length) { out(k) = a.data(k) * c; k += 1 }
     val y = new Tensor(a.rows, a.cols, out)
     if (tp.active) tp.record(y) { () =>
@@ -89,7 +89,7 @@ object Ops {
   }
 
   def relu(a: Tensor)(implicit tp: Tape): Tensor = {
-    val out = new Array[Double](a.size)
+    val out = tp.alloc(a.size)
     var k = 0; while (k < out.length) { val v = a.data(k); out(k) = if (v > 0) v else 0.0; k += 1 }
     val y = new Tensor(a.rows, a.cols, out)
     if (tp.active) tp.record(y) { () =>
@@ -100,7 +100,7 @@ object Ops {
   }
 
   def sigmoid(a: Tensor)(implicit tp: Tape): Tensor = {
-    val out = new Array[Double](a.size)
+    val out = tp.alloc(a.size)
     var k = 0; while (k < out.length) { out(k) = 1.0 / (1.0 + math.exp(-a.data(k))); k += 1 }
     val y = new Tensor(a.rows, a.cols, out)
     if (tp.active) tp.record(y) { () =>
@@ -111,7 +111,7 @@ object Ops {
   }
 
   def tanh(a: Tensor)(implicit tp: Tape): Tensor = {
-    val out = new Array[Double](a.size)
+    val out = tp.alloc(a.size)
     var k = 0; while (k < out.length) { out(k) = math.tanh(a.data(k)); k += 1 }
     val y = new Tensor(a.rows, a.cols, out)
     if (tp.active) tp.record(y) { () =>
@@ -124,7 +124,7 @@ object Ops {
   /** Row-wise softmax. */
   def softmaxRows(a: Tensor)(implicit tp: Tape): Tensor = {
     val n = a.cols
-    val out = new Array[Double](a.size)
+    val out = tp.alloc(a.size)
     var i = 0
     while (i < a.rows) {
       var mx = Double.NegativeInfinity
@@ -156,8 +156,8 @@ object Ops {
   def layerNorm(x: Tensor, gain: Tensor, bias: Tensor)(implicit tp: Tape): Tensor = {
     require(gain.rows == 1 && bias.rows == 1 && gain.cols == x.cols && bias.cols == x.cols)
     val n = x.cols
-    val xhat = new Array[Double](x.size)
-    val invStd = new Array[Double](x.rows)
+    val xhat = tp.alloc(x.size)
+    val invStd = tp.alloc(x.rows)
     var i = 0
     while (i < x.rows) {
       var mu = 0.0; var j = 0
@@ -173,7 +173,7 @@ object Ops {
       while (j < n) { xhat(i * n + j) = (x(i, j) - mu) * is; j += 1 }
       i += 1
     }
-    val out = new Array[Double](x.size)
+    val out = tp.alloc(x.size)
     i = 0
     while (i < x.rows) {
       var j = 0
@@ -212,7 +212,7 @@ object Ops {
   def concatCols(a: Tensor, b: Tensor)(implicit tp: Tape): Tensor = {
     require(a.rows == b.rows, s"concatCols $a ++ $b")
     val n = a.cols + b.cols
-    val out = new Array[Double](a.rows * n)
+    val out = tp.alloc(a.rows * n)
     var r = 0
     while (r < a.rows) {
       System.arraycopy(a.data, r * a.cols, out, r * n, a.cols)
@@ -239,7 +239,7 @@ object Ops {
     val n = parts.head.cols
     require(parts.forall(_.cols == n))
     val m = parts.map(_.rows).sum
-    val d = new Array[Double](m * n)
+    val d = tp.alloc(m * n)
     var off = 0
     parts.foreach { p => System.arraycopy(p.data, 0, d, off, p.size); off += p.size }
     val y = new Tensor(m, n, d)
@@ -257,7 +257,7 @@ object Ops {
 
   def sliceCols(a: Tensor, from: Int, until: Int)(implicit tp: Tape): Tensor = {
     val w = until - from
-    val out = new Array[Double](a.rows * w)
+    val out = tp.alloc(a.rows * w)
     var r = 0; while (r < a.rows) { System.arraycopy(a.data, r * a.cols + from, out, r * w, w); r += 1 }
     val y = new Tensor(a.rows, w, out)
     if (tp.active) tp.record(y) { () =>
@@ -270,7 +270,7 @@ object Ops {
 
   def sliceRows(a: Tensor, from: Int, until: Int)(implicit tp: Tape): Tensor = {
     val h = until - from
-    val out = new Array[Double](h * a.cols)
+    val out = tp.alloc(h * a.cols)
     System.arraycopy(a.data, from * a.cols, out, 0, out.length)
     val y = new Tensor(h, a.cols, out)
     if (tp.active) tp.record(y) { () =>
@@ -283,7 +283,7 @@ object Ops {
   /** Gather rows `idx` of an embedding matrix; backward scatter-adds. */
   def rows(emb: Tensor, idx: Array[Int])(implicit tp: Tape): Tensor = {
     val n = emb.cols
-    val out = new Array[Double](idx.length * n)
+    val out = tp.alloc(idx.length * n)
     var r = 0; while (r < idx.length) { System.arraycopy(emb.data, idx(r) * n, out, r * n, n); r += 1 }
     val y = new Tensor(idx.length, n, out)
     if (tp.active) tp.record(y) { () =>
@@ -300,7 +300,7 @@ object Ops {
   /** Column-mean over rows: (m x n) -> (1 x n). */
   def meanRows(a: Tensor)(implicit tp: Tape): Tensor = {
     val n = a.cols; val m = a.rows
-    val d = new Array[Double](n)
+    val d = tp.alloc(n)
     var i = 0
     while (i < m) { var j = 0; while (j < n) { d(j) += a(i, j) / m; j += 1 }; i += 1 }
     val y = new Tensor(1, n, d)
@@ -313,7 +313,8 @@ object Ops {
   }
 
   def sumAll(a: Tensor)(implicit tp: Tape): Tensor = {
-    val y = new Tensor(1, 1, Array(a.data.sum))
+    val y = new Tensor(1, 1, tp.alloc(1))
+    y.data(0) = a.data.sum
     if (tp.active) tp.record(y) { () =>
       val g = tp.grad(y)(0); val da = tp.grad(a)
       var i = 0; while (i < a.size) { da(i) += g; i += 1 }
@@ -325,7 +326,7 @@ object Ops {
   def tileRows(row: Tensor, m: Int)(implicit tp: Tape): Tensor = {
     require(row.rows == 1, s"tileRows needs a row vector, got $row")
     val n = row.cols
-    val out = new Array[Double](m * n)
+    val out = tp.alloc(m * n)
     var r = 0; while (r < m) { System.arraycopy(row.data, 0, out, r * n, n); r += 1 }
     val y = new Tensor(m, n, out)
     if (tp.active) tp.record(y) { () =>
@@ -346,7 +347,8 @@ object Ops {
       loss += math.max(x, 0) - x * z + math.log1p(math.exp(-math.abs(x)))
       i += 1
     }
-    val y = new Tensor(1, 1, Array(loss))
+    val y = new Tensor(1, 1, tp.alloc(1))
+    y.data(0) = loss
     if (tp.active) tp.record(y) { () =>
       val g = tp.grad(y)(0); val dl = tp.grad(logits)
       var i2 = 0
@@ -363,7 +365,7 @@ object Ops {
   def ceRowsSum(logits: Tensor, targets: Array[Int])(implicit tp: Tape): Tensor = {
     require(targets.length == logits.rows)
     val n = logits.cols
-    val probs = new Array[Double](logits.size)
+    val probs = tp.alloc(logits.size)
     var loss = 0.0
     var i = 0
     while (i < logits.rows) {
@@ -377,7 +379,8 @@ object Ops {
       loss += -math.log(math.max(1e-12, probs(i * n + targets(i))))
       i += 1
     }
-    val y = new Tensor(1, 1, Array(loss))
+    val y = new Tensor(1, 1, tp.alloc(1))
+    y.data(0) = loss
     if (tp.active) tp.record(y) { () =>
       val g = tp.grad(y)(0); val dl = tp.grad(logits)
       var i2 = 0
@@ -400,7 +403,8 @@ object Ops {
     var loss = 0.0
     var i = 0
     while (i < pred.size) { loss += math.abs(pred.data(i) - target(i)); i += 1 }
-    val y = new Tensor(1, 1, Array(loss))
+    val y = new Tensor(1, 1, tp.alloc(1))
+    y.data(0) = loss
     if (tp.active) tp.record(y) { () =>
       val g = tp.grad(y)(0); val dp = tp.grad(pred)
       var i2 = 0
@@ -418,7 +422,8 @@ object Ops {
     var loss = 0.0
     var i = 0
     while (i < pred.size) { val d = pred.data(i) - target(i); loss += d * d; i += 1 }
-    val y = new Tensor(1, 1, Array(loss))
+    val y = new Tensor(1, 1, tp.alloc(1))
+    y.data(0) = loss
     if (tp.active) tp.record(y) { () =>
       val g = tp.grad(y)(0); val dp = tp.grad(pred)
       var i2 = 0

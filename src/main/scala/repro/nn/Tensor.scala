@@ -53,7 +53,9 @@ object Tensor {
     require(rows.nonEmpty)
     val c = rows.head.length
     val d = new Array[Double](rows.length * c)
-    rows.zipWithIndex.foreach { case (r, i) => System.arraycopy(r, 0, d, i * c, c) }
+    val it = rows.iterator
+    var i = 0
+    while (it.hasNext) { System.arraycopy(it.next(), 0, d, i * c, c); i += 1 }
     new Tensor(rows.length, c, d)
   }
   /** Glorot-uniform initialisation. */
@@ -99,13 +101,18 @@ object Tensor {
 }
 
 /** Recording context for reverse-mode autodiff. [[NoTape]] disables
-  * recording (inference); [[GradTape]] records and replays backward.
+  * recording (inference); [[GradTape]] records and replays backward;
+  * [[Scratch]] records nothing and recycles op outputs within one call.
   */
 trait Tape {
   def active: Boolean
   /** Record `f`, which adds the input gradients of the op whose output is `y`. */
   def record(y: Tensor)(f: () => Unit): Unit
   def grad(t: Tensor): Array[Double]
+  /** A zeroed array of length `n` for an op's output or temporary: a fresh
+    * one, except on a [[Scratch]].
+    */
+  def alloc(n: Int): Array[Double] = new Array[Double](n)
 }
 
 object NoTape extends Tape {
@@ -145,6 +152,44 @@ final class GradTape extends Tape {
     grad(loss)(0) = 1.0
     var i = ops.length - 1
     while (i >= 0) { ops(i)(); i -= 1 }
+  }
+}
+
+/** An inactive tape that hands out recycled arrays, for a decode loop that
+  * runs many small ops per step and keeps only scalars from each step.
+  * `release(mark)` takes back, zeroed, every array handed out since `mark`
+  * was taken; the next `alloc`s hand them out again. A tensor over a
+  * released array reads zeros from then on, so whatever a step keeps must be
+  * copied out first. One call owns a `Scratch`: it is not thread-safe and
+  * must not outlive that call.
+  */
+final class Scratch extends Tape {
+  val active = false
+  def record(y: Tensor)(f: () => Unit): Unit = ()
+  def grad(t: Tensor): Array[Double] =
+    throw new IllegalStateException("gradients requested outside a GradTape")
+
+  // Arrays in the order they were handed out; slots `used` and above hold
+  // released arrays, which `alloc` reuses when the length fits.
+  private var arrays = new Array[Array[Double]](64)
+  private var used = 0
+
+  override def alloc(n: Int): Array[Double] = {
+    if (used == arrays.length) arrays = java.util.Arrays.copyOf(arrays, 2 * used)
+    var a = arrays(used)
+    if (a == null || a.length != n) { a = new Array[Double](n); arrays(used) = a }
+    used += 1
+    a
+  }
+
+  /** Marks the arrays handed out so far as kept by `release`. */
+  def mark: Int = used
+
+  /** Zeroes and takes back every array handed out since `mark`. */
+  def release(mark: Int): Unit = {
+    var i = mark
+    while (i < used) { java.util.Arrays.fill(arrays(i), 0.0); i += 1 }
+    used = mark
   }
 }
 

@@ -17,8 +17,16 @@ abstract class FreeSpaceModel(
     val epsilon: Double,
 ) extends Module {
 
-  /** Predict normalised (x, y) for every slot. */
-  def predictXY(t: Traj, times: Array[Double])(implicit tp: Tape): Tensor
+  /** Predict normalised (x, y) for every slot at `times`, given the slots'
+    * free-space linear interpolations `lin`.
+    */
+  def predictXY(t: Traj, times: Array[Double], lin: Array[XY])(implicit tp: Tape): Tensor
+
+  /** `Recoverer.interpXY` of every slot at `times`. */
+  private def interpolate(t: Traj, times: Array[Double]): Array[XY] = {
+    val before = Recoverer.lastBefore(t, times)
+    Array.tabulate(times.length)(j => Recoverer.interpXY(t, times(j), before(j)))
+  }
 
   /** Kalman-style calibration (DHTR): blend the network prediction with the
     * free-space linear interpolation (its "measurement").
@@ -28,14 +36,14 @@ abstract class FreeSpaceModel(
   def recover(t: Traj): Recovered = {
     implicit val tp: Tape = NoTape
     val tl = Recoverer.slotTimeline(t, epsilon)
-    val xy = predictXY(t, tl.times)
+    val lin = interpolate(t, tl.times)
+    val xy = predictXY(t, tl.times, lin)
     val out = Array.tabulate(tl.length) { j =>
       val p =
         if (tl.observed(j)) t.sparse(tl.anchor(j)).xy // observed: snap the GPS point
         else {
           val raw = XY(net.denormX(xy(j, 0)), net.denormY(xy(j, 1)))
-          val lin = Recoverer.interpXY(t, tl.times(j))
-          XY(raw.x * blend + lin.x * (1 - blend), raw.y * blend + lin.y * (1 - blend))
+          XY(raw.x * blend + lin(j).x * (1 - blend), raw.y * blend + lin(j).y * (1 - blend))
         }
       val seg = net.nearestSegments(p, 1).head
       MatchedPoint(seg, net.projectRatio(p, seg), tl.times(j))
@@ -45,7 +53,8 @@ abstract class FreeSpaceModel(
 
   /** MSE training against the true dense coordinates. */
   def loss(t: Traj)(implicit tp: Tape): Tensor = {
-    val xy = predictXY(t, Recoverer.slotTimeline(t, epsilon).times)
+    val times = Recoverer.slotTimeline(t, epsilon).times
+    val xy = predictXY(t, times, interpolate(t, times))
     val target = new Array[Double](2 * t.dense.length)
     t.dense.indices.foreach { j =>
       val p = net.pointAt(t.dense(j).seg, t.dense(j).r)
@@ -79,17 +88,16 @@ final class DhtrModel(
 
   def params: Seq[Tensor] = encFc.params ++ encoder.params ++ queryFc.params ++ head.params
 
-  def predictXY(t: Traj, times: Array[Double])(implicit tp: Tape): Tensor = {
+  def predictXY(t: Traj, times: Array[Double], lin: Array[XY])(implicit tp: Tape): Tensor = {
     val frame = new SparseFrame(net, t)
     val enc = encoder(encFc(Tensor.fromRows(frame.rows.toIndexedSeq)))
-    val rows = times.map { tt =>
-      val lin = Recoverer.interpXY(t, tt)
-      val q = queryFc(new Tensor(1, 3, frame.at(lin.x, lin.y, tt)))
+    val rows = times.indices.map { j =>
+      val q = queryFc(new Tensor(1, 3, frame.at(lin(j).x, lin(j).y, times(j))))
       val scores = Ops.matmul(q, Ops.transpose(enc))
       val ctx = Ops.matmul(Ops.softmaxRows(scores), enc)
       Ops.sigmoid(head(Ops.concatCols(q, ctx)))
     }
-    Ops.concatRows(rows.toIndexedSeq)
+    Ops.concatRows(rows)
   }
 }
 
@@ -122,13 +130,10 @@ final class TeriModel(
   def params: Seq[Tensor] =
     encFc.params ++ encoder.params ++ queryFc.params ++ cross.params ++ head.params
 
-  def predictXY(t: Traj, times: Array[Double])(implicit tp: Tape): Tensor = {
+  def predictXY(t: Traj, times: Array[Double], lin: Array[XY])(implicit tp: Tape): Tensor = {
     val frame = new SparseFrame(net, t)
     val enc = encoder(encFc(Tensor.fromRows(frame.rows.toIndexedSeq)))
-    val queries = times.map { tt =>
-      val lin = Recoverer.interpXY(t, tt)
-      frame.at(lin.x, lin.y, tt)
-    }
+    val queries = times.indices.map(j => frame.at(lin(j).x, lin(j).y, times(j)))
     val q = queryFc(Tensor.fromRows(queries.toIndexedSeq))
     val ctx = cross(q, enc)
     Ops.sigmoid(head(Ops.concatCols(q, ctx)))

@@ -95,11 +95,8 @@ object Recoverer {
     (t.sparse(i), t.sparse(math.min(i + 1, t.sparse.length - 1)))
 
   /** Free-space position at time `tt`, linearly interpolated between the
-    * observed points bracketing it.
+    * observed points bracketing it; `i` is `tt`'s `lastBefore` index.
     */
-  def interpXY(t: Traj, tt: Double): XY = interpXY(t, tt, lastBefore(t, tt, 0))
-
-  /** `interpXY(t, tt)`, given `tt`'s `lastBefore` index `i`. */
   def interpXY(t: Traj, tt: Double, i: Int): XY = {
     val (a, b) = bracket(t, i)
     val f = if (b.t - a.t < 1e-9) 0.0 else (tt - a.t) / (b.t - a.t)

@@ -116,12 +116,17 @@ final class SeqRecModel(
       // travel direction between bracketing observed points
       val (a, b) = Recoverer.bracket(t, before(j))
       val dir = b.xy - a.xy
-      masks(j).indices.toArray.flatMap { k =>
-        val seg = net.segments(masks(j)(k))
-        val d = found(j).dists(k)
-        Array(math.exp(-d / 50.0), math.exp(-d / 150.0),
-          Geo.cosine(seg.dir, dir), seg.lengthM / maxLen)
+      val ids = masks(j); val dists = found(j).dists
+      val row = new Array[Double](4 * ids.length)
+      var k = 0
+      while (k < ids.length) {
+        val seg = net.segments(ids(k))
+        val d = dists(k)
+        row(4 * k) = math.exp(-d / 50.0); row(4 * k + 1) = math.exp(-d / 150.0)
+        row(4 * k + 2) = Geo.cosine(seg.dir, dir); row(4 * k + 3) = seg.lengthM / maxLen
+        k += 1
       }
+      row
     }
     val dur = math.max(1e-9, times.last - times.head)
     val tNorm = times.map(tt => (tt - times.head) / dur)
@@ -141,8 +146,11 @@ final class SeqRecModel(
     if (cfg.pooled) Ops.meanRows(states) else states
   }
 
-  private def gruInput(seg: Int, r: Double, tn: Double)(implicit tp: Tape): Tensor =
-    Ops.concatCols(segIn(Array(seg)), new Tensor(1, 2, Array(r, tn)))
+  private[recovery] def gruInput(seg: Int, r: Double, tn: Double)(implicit tp: Tape): Tensor = {
+    val x = tp.alloc(2)
+    x(0) = r; x(1) = tn
+    Ops.concatCols(segIn(Array(seg)), new Tensor(1, 2, x))
+  }
 
   /** Decoder attention context over the encoder states. */
   private def context(h: Tensor, enc: Tensor)(implicit tp: Tape): Tensor = {
@@ -151,12 +159,12 @@ final class SeqRecModel(
   }
 
   /** Candidate logits for slot j: embedding score plus geometric bypass. */
-  private def slotLogits(h: Tensor, enc: Tensor, s: SeqRecSample, j: Int)(implicit tp: Tape): (Tensor, Tensor) = {
+  private[recovery] def slotLogits(h: Tensor, enc: Tensor, s: SeqRecSample, j: Int)(implicit tp: Tape): (Tensor, Tensor) = {
     val ctx = context(h, enc)
     val q = clsProj(Ops.concatCols(h, ctx)) // 1 x dh
     val mask = s.masks(j)
     val cand = segOut(mask)                 // maskK x dh
-    val geo = new Tensor(mask.length, 4, s.maskFeat(j).clone())
+    val geo = new Tensor(mask.length, 4, s.maskFeat(j)) // a constant: no op writes its input
     (Ops.add(Ops.matmul(cand, Ops.transpose(q)), geoMlp(geo)), ctx)
   }
 
@@ -183,22 +191,29 @@ final class SeqRecModel(
     if (acc == null) new Tensor(1, 1, Array(0.0)) else Ops.scale(acc, 1.0 / math.max(1, count))
   }
 
+  /** Greedy decoding of every slot. Each slot's ops run on recycled
+    * [[Scratch]] arrays; only the hidden state, copied into `h`, and
+    * scalars outlive a slot.
+    */
   def recover(t: Traj): Recovered = {
-    implicit val tp: Tape = NoTape
+    implicit val tp: Scratch = new Scratch
     val s = prepare(t, withLabels = false)
     val enc = encode(s)
-    var h = Ops.meanRows(enc)
+    val h = Ops.meanRows(enc)
+    val slot = tp.mark
     val out = new Array[MatchedPoint](s.masks.length)
     var prevSeg = s.masks(0)(0)
     var prevR = 0.0
     var j = 0
     while (j < s.masks.length) {
-      if (j > 0) h = gru(gruInput(prevSeg, prevR, s.tNorm(j)), h)
-      val (logits, ctx) = slotLogits(h, enc, s, j)
+      val hj = if (j > 0) gru(gruInput(prevSeg, prevR, s.tNorm(j)), h) else h
+      val (logits, ctx) = slotLogits(hj, enc, s, j)
       val seg = s.masks(j)(logits.argmax(0, logits.size))
-      val r = Ops.sigmoid(ratioMlp(Ops.concatCols(h, ctx))).data(0)
+      val r = Ops.sigmoid(ratioMlp(Ops.concatCols(hj, ctx))).data(0)
       out(j) = MatchedPoint(seg, math.min(0.999999, r), s.times(j))
       prevSeg = seg; prevR = r
+      System.arraycopy(hj.data, 0, h.data, 0, h.size)
+      tp.release(slot)
       j += 1
     }
     Recovered(t.id, out)

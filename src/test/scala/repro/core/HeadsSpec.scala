@@ -55,7 +55,7 @@ class HeadsSpec extends AnyFunSuite {
       s.denseSeg.indices.filterNot(s.observed).foreach { j =>
         val lo = s.slotLo(j); val hi = s.slotHi(j)
         val hWin = Ops.sliceRows(hEnc, lo, hi + 1)
-        val geo = Tensor.fromRows(trmma.geoFeats(s, j, lo, hi).toIndexedSeq)
+        val geo = trmma.geoFeats(s, j, lo, hi)
         val w = heads.classLogits(h, lo, hi, geo)
         val wRef = ReferenceHeads.classLogits(trmma, h, hWin, geo)
         worst = math.max(worst, maxErr(w, wRef))
@@ -94,6 +94,21 @@ class HeadsSpec extends AnyFunSuite {
     info(f"$slots slots decoded, ${flips.size} flips, max ratio difference $worstR%.2e")
     assert(flips.isEmpty, flips.mkString("argmax flips: ", "; ", ""))
     assert(worstR < Tol, f"max ratio difference $worstR%.2e")
+  }
+
+  test("TRMMA decode on recycled scratch arrays equals the NoTape loop bit for bit") {
+    val rec = new Trmma(trmma, new TruthMatcher, cfg.epsilon)
+    var slots = 0
+    testSet.foreach { t =>
+      val (s, times) = rec.prepare(t, rec.matcher.matchTraj(t))
+      val out = trmma.decode(s, times)
+      val ref = ReferenceHeads.splitDecode(trmma, s, times)
+      slots += out.length
+      assert(out.map(_.seg).sameElements(ref.map(_.seg)), s"traj ${t.id}: segments")
+      assert(out.map(p => java.lang.Double.doubleToLongBits(p.r)).sameElements(
+        ref.map(p => java.lang.Double.doubleToLongBits(p.r))), s"traj ${t.id}: ratios")
+    }
+    info(s"$slots slots decoded")
   }
 
   test("MMA logits, loss and every parameter gradient match the concatenated head; logitsFor equals its Scorer row") {

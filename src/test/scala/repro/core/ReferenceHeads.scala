@@ -6,7 +6,8 @@ import repro.traj.MatchedPoint
 
 /** The decoder and attention heads as they were written with concatenated
   * inputs, kept as the reference for the block-split heads of
-  * `TrmmaModel.Heads` and `MmaModel.logitsFor`. TRMMA's slot tiles `h` over
+  * `TrmmaModel.Heads` and `MmaModel.logitsFor`, and TRMMA's decode loop as
+  * it ran on `NoTape` (`splitDecode`). TRMMA's slot tiles `h` over
   * its window and pushes `[H[k]; h; geo]` through `clsMlp`; MMA tiles `z2i`
   * over the candidates. The loss, decode and prediction loops around them
   * are copied unchanged so whole trajectories can be compared.
@@ -41,7 +42,7 @@ object ReferenceHeads {
         nMissing += 1
         val lo = s.slotLo(j); val hi = s.slotHi(j)
         val hWin = Ops.sliceRows(hEnc, lo, hi + 1)
-        val geo = Tensor.fromRows(m.geoFeats(s, j, lo, hi).toIndexedSeq)
+        val geo = m.geoFeats(s, j, lo, hi)
         val wWin = classLogits(m, h, hWin, geo)
         val labels = new Array[Double](hi + 1 - lo)
         labels(math.min(hi, math.max(lo, s.densePos(j))) - lo) = 1.0
@@ -79,7 +80,7 @@ object ReferenceHeads {
       } else {
         val lo = s.slotLo(j); val hi = math.max(s.slotLo(j), s.slotHi(j))
         val hWin = Ops.sliceRows(hEnc, lo, hi + 1)
-        val geo = Tensor.fromRows(m.geoFeats(s, j, lo, hi).toIndexedSeq)
+        val geo = m.geoFeats(s, j, lo, hi)
         val w = classLogits(m, h, hWin, geo)
         val kFrom = math.max(prevPos, lo)
         var best = kFrom
@@ -90,6 +91,44 @@ object ReferenceHeads {
           k += 1
         }
         val r = ratioHead(m, h, hWin, w, best - lo, geo).data(0)
+        prevSeg = s.route(best); prevR = math.min(0.999999, r); prevPos = best
+        out(j) = MatchedPoint(prevSeg, prevR, denseT(j))
+      }
+      j += 1
+    }
+    out
+  }
+
+  /** `TrmmaModel.decode` as it was written on `NoTape`, with the block-split
+    * heads and a fresh array for every op: the reference for the decode
+    * loop on recycled `Scratch` arrays, which must equal it bit for bit.
+    */
+  def splitDecode(m: TrmmaModel, s: TrmmaSample, denseT: Array[Double]): Array[MatchedPoint] = {
+    implicit val tp: Tape = NoTape
+    val hEnc = m.encode(s)
+    val heads = new m.Heads(hEnc)
+    var h = Ops.meanRows(hEnc)
+    val L = denseT.length
+    val out = new Array[MatchedPoint](L)
+    var prevSeg = s.denseSeg(0)
+    var prevR = s.denseR(0)
+    var prevPos = s.densePos(0)
+    out(0) = MatchedPoint(prevSeg, prevR, denseT(0))
+    val lastT = math.max(1, L - 1).toDouble
+    var j = 1
+    while (j < L) {
+      h = m.gru(m.gruInput(prevSeg, prevR, j / lastT, s.slotFeat(j)), h)
+      if (s.observed(j)) {
+        prevSeg = s.denseSeg(j); prevR = s.denseR(j)
+        val p = RouteArc.posOf(s.route, prevSeg, prevPos)
+        if (p >= 0) prevPos = p
+        out(j) = MatchedPoint(prevSeg, prevR, denseT(j))
+      } else {
+        val lo = s.slotLo(j); val hi = math.max(s.slotLo(j), s.slotHi(j))
+        val geo = m.geoFeats(s, j, lo, hi)
+        val w = heads.classLogits(h, lo, hi, geo)
+        val best = lo + w.argmax(math.max(prevPos, lo) - lo, hi + 1 - lo)
+        val r = heads.ratioHead(h, lo, hi, w, best - lo, geo).data(0)
         prevSeg = s.route(best); prevR = math.min(0.999999, r); prevPos = best
         out(j) = MatchedPoint(prevSeg, prevR, denseT(j))
       }

@@ -1,6 +1,7 @@
 package repro.geo
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.traj.Datasets
 import scala.util.Random
 
 class STRtreeSpec extends AnyFunSuite {
@@ -61,6 +62,46 @@ class STRtreeSpec extends AnyFunSuite {
         assert(c.dists(j) == Geo.pointSegDist(p, s.a, s.b))
       }
     }
+  }
+
+  /** Asserts that `STRtree` and [[ReferenceRtree]] over `segs` return the
+    * same ids and the same distance bits for k = 1, 10 and 40 at every query
+    * point; returns how many adjacent results tie on distance.
+    */
+  private def sameAsReference(segs: Array[Segment], queries: Seq[XY]): Int = {
+    val tree = STRtree.build(segs)
+    val ref = ReferenceRtree.build(segs)
+    var ties = 0
+    for (k <- Seq(1, 10, 40); p <- queries) {
+      val got = tree.nearest(p, k)
+      val want = ref.nearest(p, k)
+      assert(got.ids.sameElements(want.ids), s"k=$k at $p: ids ${got.ids.toSeq} vs ${want.ids.toSeq}")
+      assert(got.dists.map(java.lang.Double.doubleToLongBits).sameElements(
+        want.dists.map(java.lang.Double.doubleToLongBits)), s"k=$k at $p: distances")
+      ties += (1 until want.dists.length).count(i => want.dists(i) == want.dists(i - 1))
+    }
+    ties
+  }
+
+  test("top-k equals the boxed reference on the XA and BJ networks, ties included") {
+    // Two-way roads are two segments over one line, and segments meet at
+    // shared nodes, so equal distances are everywhere: at nodes, on
+    // segments and off the network.
+    Seq("XA", "BJ").foreach { city =>
+      val net = Datasets(city).net
+      val rnd = new Random(11)
+      val xs = net.nodes.map(_.x); val ys = net.nodes.map(_.y)
+      val offNet = Seq.fill(600)(XY(xs.min - 200 + rnd.nextDouble() * (xs.max - xs.min + 400),
+        ys.min - 200 + rnd.nextDouble() * (ys.max - ys.min + 400)))
+      val onNet = net.segments.toSeq.filter(_ => rnd.nextInt(4) == 0).map(s => Geo.lerp(s.a, s.b, rnd.nextDouble()))
+      val ties = sameAsReference(net.segments, offNet ++ net.nodes ++ onNet)
+      assert(ties > 1000, s"$city: only $ties ties")
+    }
+  }
+
+  test("top-k equals the boxed reference on random segments") {
+    val segs = randomSegments(700)
+    sameAsReference(segs, Seq.fill(500)(XY(rnd.nextDouble() * 5000, rnd.nextDouble() * 5000)) ++ segs.map(_.a))
   }
 
   test("k larger than segment count returns all segments") {

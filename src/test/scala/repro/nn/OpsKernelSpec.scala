@@ -109,6 +109,32 @@ class OpsKernelSpec extends AnyFunSuite {
     })
   }
 
+  test("matmul by a column equals the plain loop bit for bit, m = 0 to 9, finite or not") {
+    // A finite column takes the four-row column kernel, which adds the
+    // a(i, p) == 0 terms the plain loop skips; a column holding ±Inf or NaN
+    // must not, since 0 times either is NaN.
+    val finite: Gen[Double] = Gen.frequency(
+      12 -> Gen.choose(-3.0, 3.0),
+      2 -> Gen.oneOf(0.0, -0.0),
+      1 -> Gen.oneOf(Double.MinPositiveValue, -1e300, 1e300, 40.0, -40.0))
+    val nonFinite = Gen.oneOf(Double.PositiveInfinity, Double.NegativeInfinity, Double.NaN)
+    (0 to 9).foreach { m =>
+      val finiteColumn = for {
+        k <- kn; a <- Gen.listOfN(m * k, sparse); b <- Gen.listOfN(k, finite)
+      } yield (new Tensor(m, k, a.toArray), new Tensor(k, 1, b.toArray))
+      val nonFiniteColumn = for {
+        k <- Gen.choose(1, 19); a <- Gen.listOfN(m * k, sparse); b <- Gen.listOfN(k, finite)
+        at <- Gen.choose(0, k - 1); v <- nonFinite
+      } yield (new Tensor(m, k, a.toArray), new Tensor(k, 1, b.updated(at, v).toArray))
+      check(s"m=$m, finite column")(Prop.forAllNoShrink(finiteColumn) { case (a, b) =>
+        sameBits(Ops.matmul(a, b), ReferenceOps.matmul(a, b))
+      })
+      check(s"m=$m, column with ±Inf or NaN")(Prop.forAllNoShrink(nonFiniteColumn) { case (a, b) =>
+        sameBits(Ops.matmul(a, b), ReferenceOps.matmul(a, b))
+      })
+    }
+  }
+
   test("matmul on a GradTape routes its gradients through the kernels bit for bit") {
     check("matmul backward")(Prop.forAllNoShrink(product) { case (a, b, dy, _, _) =>
       val tape = new GradTape

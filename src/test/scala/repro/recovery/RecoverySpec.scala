@@ -115,6 +115,29 @@ class RecoverySpec extends AnyFunSuite {
     testSet.take(5).foreach(t => checkAligned(m.recover(t), t))
   }
 
+  private def bits(out: Recovered): Seq[(Int, Long, Long)] =
+    out.points.toSeq.map(p => (p.seg, java.lang.Double.doubleToLongBits(p.r), java.lang.Double.doubleToLongBits(p.t)))
+
+  test("SeqRec (mtrajrec) recover on recycled scratch arrays equals the NoTape loop bit for bit") {
+    val m = SeqRecModel.init(net, SeqRecConfig("mtrajrec"), cfg.epsilon, node2vec)
+    SeqRecModel.train(m, trainSet.take(60), epochs = 1)
+    testSet.foreach { t =>
+      assert(bits(m.recover(t)) == bits(ReferenceSeqRec.recover(m, t)), s"traj ${t.id}")
+    }
+  }
+
+  test("SeqRec mask features equal the per-candidate arrays they replaced, bit for bit") {
+    val m = SeqRecModel.init(net, SeqRecConfig("mtrajrec"), cfg.epsilon, node2vec)
+    testSet.take(20).foreach { t =>
+      val s = m.prepare(t, withLabels = false)
+      val want = ReferenceSeqRec.maskFeat(m, t, s)
+      s.maskFeat.indices.foreach { j =>
+        assert(s.maskFeat(j).map(java.lang.Double.doubleToLongBits)
+          .sameElements(want(j).map(java.lang.Double.doubleToLongBits)), s"traj ${t.id} slot $j")
+      }
+    }
+  }
+
   test("SeqRec pooled variants collapse encoder states to one row") {
     Seq("trajgat", "trajcl", "st2vec").foreach { kind =>
       val m = SeqRecModel.init(net, SeqRecConfig(kind), cfg.epsilon, node2vec)
