@@ -155,7 +155,7 @@ final class MmaModel(
   def candEmbed(s: MmaSample, i: Int)(implicit tp: Tape): Tensor = {
     val e = segEmb(s.cands(i))
     val k = s.cands(i).length
-    val f = new Tensor(k, MmaModel.NumFeats, s.feats(i).clone())
+    val f = new Tensor(k, MmaModel.NumFeats, s.feats(i)) // a constant: no op writes its input
     candMlp(Ops.concatCols(e, f))
   }
 

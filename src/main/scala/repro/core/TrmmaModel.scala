@@ -2,7 +2,7 @@ package repro.core
 
 import repro.geo.{RoadNetwork, XY}
 import repro.nn._
-import repro.recovery.RouteArc
+import repro.recovery.{RouteArc, SlotGaps}
 import repro.traj.{MatchedPoint, SparseFrame, Traj}
 import scala.util.Random
 
@@ -65,8 +65,6 @@ final class TrmmaModel(
       transR.params ++ gru.params ++ clsMlp.params ++ clsGeo.params ++
       ratioMlp.params ++ ratioGeo.params
 
-  private val maxSegLen = net.segments.map(_.lengthM).max
-
   /** Projection ratio of a GPS point onto a segment (Alg. 2 line 4). */
   def projRatio(p: XY, segId: Int): Double = net.projectRatio(p, segId)
 
@@ -82,36 +80,25 @@ final class TrmmaModel(
     val total = math.max(1e-9, arc.totalLen)
     val routeFeat = Array.tabulate(route.length)(k =>
       Array(arc.cum(k) / total, arc.cum(k + 1) / total,
-            net.segments(route(k)).lengthM / maxSegLen))
-    // Monotone position of each dense slot's segment within the route.
-    val pos = new Array[Int](denseSeg.length)
-    var cur = 0
-    var j = 0
-    while (j < denseSeg.length) {
-      val p = arc.posOf(denseSeg(j), cur)
-      if (p >= 0) cur = p
-      pos(j) = cur
-      j += 1
-    }
+            net.segments(route(k)).lengthM / net.maxSegLen))
+    val pos = arc.walk(denseSeg)
     // Per-slot gap anchors from the OBSERVED slots only (inference-safe):
     // fraction within the gap and the bracketing anchors' arc fractions.
+    val gaps = new SlotGaps(observed)
     val slotFeat = new Array[Array[Double]](denseSeg.length)
     val slotLo = new Array[Int](denseSeg.length)
     val slotHi = new Array[Int](denseSeg.length)
-    val obsIdx = denseSeg.indices.filter(observed(_)).toArray
-    var oi = 0
-    j = 0
+    var j = 0
     while (j < denseSeg.length) {
-      while (oi + 1 < obsIdx.length && obsIdx(oi + 1) <= j) oi += 1
-      val lo = obsIdx(oi)
-      val hi = if (oi + 1 < obsIdx.length) obsIdx(oi + 1) else lo
-      val f = if (hi == lo) 0.0 else (j - lo).toDouble / (hi - lo)
+      val lo = gaps.lo(j); val hi = gaps.hi(j)
+      val f = gaps.gapFrac(j)
       val arcLo = arc.arcOf(pos(lo), denseR(lo)) / total
       val arcHi = arc.arcOf(pos(hi), denseR(hi)) / total
       // arcLinear: where constant-speed interpolation would place this slot.
       slotFeat(j) = Array(f, arcLo, arcHi, arcLo + f * (arcHi - arcLo))
+      // `pos` never decreases, so slotHi >= slotLo.
       slotLo(j) = pos(lo)
-      slotHi(j) = math.max(pos(lo), pos(hi))
+      slotHi(j) = pos(hi)
       j += 1
     }
     TrmmaSample(coords, segs, route, routeFeat, denseSeg, denseR, pos, observed, slotFeat,
@@ -285,7 +272,7 @@ final class TrmmaModel(
         if (p >= 0) prevPos = p
         out(j) = MatchedPoint(prevSeg, prevR, denseT(j))
       } else {
-        val lo = s.slotLo(j); val hi = math.max(s.slotLo(j), s.slotHi(j))
+        val lo = s.slotLo(j); val hi = s.slotHi(j)
         val geo = geoFeats(s, j, lo, hi)
         val w = heads.classLogits(hNext, lo, hi, geo)
         // Order constraint (Eq. 17) extended with the gap's right anchor:

@@ -36,6 +36,8 @@ final class RoadNetwork(
 
   val numNodes: Int = nodes.length
   val numSegments: Int = segments.length
+  /** The longest segment's length, the scale of the models' length features. */
+  val maxSegLen: Double = segments.map(_.lengthM).max
 
   /** Bounding box of the intersections: the frame the learned models
     * normalise planar coordinates to [0,1] in.

@@ -13,8 +13,7 @@ import repro.traj.{MatchedRoute, Recovered, Traj}
 final class RnTrajRecMm(planner: RoutePlanner, epsilon: Double) extends Serializable {
   /** The route of `rec`, RNTrajRec's recovery of `t`. */
   def route(t: Traj, rec: Recovered): MatchedRoute = {
-    val tl = Recoverer.slotTimeline(t, epsilon)
-    val per = (0 until tl.length).filter(tl.observed).map(rec.points(_).seg).toArray
+    val per = Recoverer.slotTimeline(t, epsilon).slotOf.map(rec.points(_).seg)
     MatchedRoute(t.id, per, planner.stitch(rec.points.map(_.seg).toIndexedSeq).toArray)
   }
 }

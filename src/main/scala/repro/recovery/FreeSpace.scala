@@ -22,12 +22,6 @@ abstract class FreeSpaceModel(
     */
   def predictXY(t: Traj, times: Array[Double], lin: Array[XY])(implicit tp: Tape): Tensor
 
-  /** `Recoverer.interpXY` of every slot at `times`. */
-  private def interpolate(t: Traj, times: Array[Double]): Array[XY] = {
-    val before = Recoverer.lastBefore(t, times)
-    Array.tabulate(times.length)(j => Recoverer.interpXY(t, times(j), before(j)))
-  }
-
   /** Kalman-style calibration (DHTR): blend the network prediction with the
     * free-space linear interpolation (its "measurement").
     */
@@ -36,7 +30,7 @@ abstract class FreeSpaceModel(
   def recover(t: Traj): Recovered = {
     implicit val tp: Tape = NoTape
     val tl = Recoverer.slotTimeline(t, epsilon)
-    val lin = interpolate(t, tl.times)
+    val lin = Array.tabulate(tl.length)(tl.interpXY)
     val xy = predictXY(t, tl.times, lin)
     val out = Array.tabulate(tl.length) { j =>
       val p =
@@ -53,8 +47,8 @@ abstract class FreeSpaceModel(
 
   /** MSE training against the true dense coordinates. */
   def loss(t: Traj)(implicit tp: Tape): Tensor = {
-    val times = Recoverer.slotTimeline(t, epsilon).times
-    val xy = predictXY(t, times, interpolate(t, times))
+    val tl = Recoverer.slotTimeline(t, epsilon)
+    val xy = predictXY(t, tl.times, Array.tabulate(tl.length)(tl.interpXY))
     val target = new Array[Double](2 * t.dense.length)
     t.dense.indices.foreach { j =>
       val p = net.pointAt(t.dense(j).seg, t.dense(j).r)

@@ -3,7 +3,6 @@ package repro.recovery
 import repro.geo.XY
 import repro.mm.MapMatcher
 import repro.traj.{GpsPoint, MatchedRoute, Recovered, Traj}
-import scala.collection.mutable
 
 /** A trajectory-recovery method: from the sparse observed points of `t`,
   * produce the map-matched epsilon-sampling trajectory (paper Definition 7).
@@ -29,13 +28,71 @@ trait RouteRecoverer extends Recoverer {
   final def recover(t: Traj): Recovered = recover(t, matcher.matchTraj(t))
 }
 
-/** The dense epsilon-timeline a recoverer fills: slot j has timestamp
-  * `times(j)` and lies at or after sparse point `anchor(j)`, in the gap
-  * before the next one. The slot of each sparse point is observed.
+/** The gaps of a dense epsilon-timeline of `length` slots: sparse point i
+  * is observed at slot `slotOf(i)` (increasing, the first at slot 0), and
+  * the slots between two sparse points are their gap's missing slots.
   */
-final class SlotTimeline(val times: Array[Double], val anchor: Array[Int]) {
-  def length: Int = times.length
-  def observed(j: Int): Boolean = j == 0 || anchor(j) != anchor(j - 1)
+class SlotGaps(val slotOf: Array[Int], val length: Int) {
+  /** The gaps of a timeline whose observed slots are `observed`'s true entries. */
+  def this(observed: Array[Boolean]) = this(Array.range(0, observed.length).filter(observed), observed.length)
+
+  /** The sparse point at or before each slot: the left end of its gap. */
+  val anchor: Array[Int] = {
+    val a = new Array[Int](length)
+    var i = 0
+    while (i < slotOf.length) {
+      java.util.Arrays.fill(a, slotOf(i), if (i + 1 < slotOf.length) slotOf(i + 1) else length, i)
+      i += 1
+    }
+    a
+  }
+
+  def observed(j: Int): Boolean = slotOf(anchor(j)) == j
+
+  /** The observed slot at or before slot j. */
+  def lo(j: Int): Int = slotOf(anchor(j))
+
+  /** The observed slot after `lo(j)` (`lo(j)` itself after the last point). */
+  def hi(j: Int): Int = slotOf(math.min(anchor(j) + 1, slotOf.length - 1))
+
+  /** Where slot j falls in its gap: 0 at `lo(j)`, 1 at `hi(j)`. */
+  def gapFrac(j: Int): Double = {
+    val l = lo(j); val h = hi(j)
+    if (h == l) 0.0 else (j - l).toDouble / (h - l)
+  }
+}
+
+/** The dense epsilon-timeline a recoverer fills (paper Definitions 6-7):
+  * the gaps between the points of `sparse`, in steps of `epsilon`.
+  */
+final class SlotTimeline(sparse: Array[GpsPoint], slotOf: Array[Int], epsilon: Double)
+    extends SlotGaps(slotOf, if (slotOf.isEmpty) 0 else slotOf.last + 1) {
+
+  /** Slot j's timestamp: its sparse point's, or its gap's start plus whole steps. */
+  val times: Array[Double] = Array.tabulate(length) { j =>
+    val p = sparse(anchor(j))
+    if (observed(j)) p.t else p.t + (j - lo(j)) * epsilon
+  }
+
+  /** The last sparse point before slot j's time (the first if none): a
+    * missing slot's anchor, and the predecessor of an observed slot's point.
+    * Slot j's time lies between it and its successor.
+    */
+  def before(j: Int): Int = if (observed(j)) math.max(0, anchor(j) - 1) else anchor(j)
+
+  private def after(j: Int): Int = math.min(before(j) + 1, sparse.length - 1)
+
+  /** Free-space position at slot j's time, linearly interpolated between
+    * the sparse points bracketing it.
+    */
+  def interpXY(j: Int): XY = {
+    val a = sparse(before(j)); val b = sparse(after(j))
+    val f = if (b.t - a.t < 1e-9) 0.0 else (times(j) - a.t) / (b.t - a.t)
+    XY(a.x + (b.x - a.x) * f, a.y + (b.y - a.y) * f)
+  }
+
+  /** Travel direction between the sparse points bracketing slot j. */
+  def direction(j: Int): XY = sparse(after(j)).xy - sparse(before(j)).xy
 }
 
 object Recoverer {
@@ -47,59 +104,17 @@ object Recoverer {
     math.max(0, math.round((tNext - tPrev) / epsilon).toInt - 1)
 
   /** The timeline from observable timestamps only: every sparse point `p`,
-    * then `gapCount` missing slots at `p.t + g * epsilon`.
+    * then `gapCount` missing slots at `p.t + g * epsilon`. The sparse
+    * timestamps must strictly increase; every missing slot then lies
+    * strictly inside its gap.
     */
   def slotTimeline(t: Traj, epsilon: Double): SlotTimeline = {
-    val times = mutable.ArrayBuffer.empty[Double]
-    val anchor = mutable.ArrayBuffer.empty[Int]
-    var i = 0
-    while (i < t.sparse.length) {
-      val p = t.sparse(i)
-      times += p.t; anchor += i
-      if (i + 1 < t.sparse.length) {
-        val gaps = gapCount(p.t, t.sparse(i + 1).t, epsilon)
-        var g = 1
-        while (g <= gaps) { times += p.t + g * epsilon; anchor += i; g += 1 }
-      }
-      i += 1
+    val slotOf = new Array[Int](t.sparse.length)
+    for (i <- 1 until slotOf.length) {
+      val a = t.sparse(i - 1).t; val b = t.sparse(i).t
+      require(b > a, s"trajectory ${t.id}: sparse timestamps must strictly increase, point $i has $b after $a")
+      slotOf(i) = slotOf(i - 1) + 1 + gapCount(a, b, epsilon)
     }
-    new SlotTimeline(times.toArray, anchor.toArray)
-  }
-
-  /** Index of the last observed point before time `tt` (the first point
-    * if none), walking forward from index `from`, which is not past it.
-    */
-  private def lastBefore(t: Traj, tt: Double, from: Int): Int = {
-    var i = from
-    while (i + 1 < t.sparse.length && t.sparse(i + 1).t < tt) i += 1
-    i
-  }
-
-  /** `lastBefore` of each of `times`, in one forward walk: each time's walk
-    * starts at the previous time's point unless the times decrease.
-    */
-  def lastBefore(t: Traj, times: Array[Double]): Array[Int] = {
-    val out = new Array[Int](times.length)
-    var j = 0
-    while (j < times.length) {
-      out(j) = lastBefore(t, times(j), if (j > 0 && times(j) >= times(j - 1)) out(j - 1) else 0)
-      j += 1
-    }
-    out
-  }
-
-  /** The observed points bracketing a time whose `lastBefore` is `i`: that
-    * point and its successor (itself at the end).
-    */
-  def bracket(t: Traj, i: Int): (GpsPoint, GpsPoint) =
-    (t.sparse(i), t.sparse(math.min(i + 1, t.sparse.length - 1)))
-
-  /** Free-space position at time `tt`, linearly interpolated between the
-    * observed points bracketing it; `i` is `tt`'s `lastBefore` index.
-    */
-  def interpXY(t: Traj, tt: Double, i: Int): XY = {
-    val (a, b) = bracket(t, i)
-    val f = if (b.t - a.t < 1e-9) 0.0 else (tt - a.t) / (b.t - a.t)
-    XY(a.x + (b.x - a.x) * f, a.y + (b.y - a.y) * f)
+    new SlotTimeline(t.sparse, slotOf, epsilon)
   }
 }

@@ -3,9 +3,10 @@ package repro.recovery
 import repro.geo.RoadNetwork
 
 /** Arc-length parameterisation of a route: maps between (segment position,
-  * ratio) and cumulative distance along the route. Used by the Linear
-  * baseline (constant-speed interpolation), TRMMA's route and slot features,
-  * and the route lengths of Table II.
+  * ratio) and cumulative distance along the route, and walks segments
+  * monotonically along it. Used by the Linear baseline (constant-speed
+  * interpolation), TRMMA's route and slot features, and the route lengths
+  * of Table II.
   */
 final class RouteArc(net: RoadNetwork, val route: Array[Int]) extends Serializable {
   /** Cumulative length before each route position. */
@@ -33,8 +34,18 @@ final class RouteArc(net: RoadNetwork, val route: Array[Int]) extends Serializab
     (lo, math.min(0.999999, (a - cum(lo)) / math.max(1e-9, len)))
   }
 
-  /** First route position of segment `seg` at/after `from`, or -1. */
-  def posOf(seg: Int, from: Int): Int = RouteArc.posOf(route, seg, from)
+  /** Route position of each of `segs` in one forward walk from position 0:
+    * the first position of its segment at or after the previous one's, or
+    * the previous one's if the segment is not there.
+    */
+  def walk(segs: Array[Int]): Array[Int] = {
+    var cur = 0
+    segs.map { seg =>
+      val p = RouteArc.posOf(route, seg, cur)
+      if (p >= 0) cur = p
+      cur
+    }
+  }
 }
 
 object RouteArc {

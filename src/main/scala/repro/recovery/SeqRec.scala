@@ -98,24 +98,20 @@ final class SeqRecModel(
     val nearSeg = t.sparse.map(p => net.nearestSegments(p.xy, 1).head)
     val frame = new SparseFrame(net, t)
     val feats = Array.tabulate(t.sparse.length)(i => pointFeats(t, frame, i, nearSeg(i)))
-    val times = Recoverer.slotTimeline(t, epsilon).times
-    val L = times.length
-    val before = Recoverer.lastBefore(t, times)
+    val tl = Recoverer.slotTimeline(t, epsilon)
+    val times = tl.times
+    val L = tl.length
     // The time-interpolated free-space position of each slot anchors its
     // constraint mask.
-    val interp = Array.tabulate(L)(j => Recoverer.interpXY(t, times(j), before(j)))
-    val found = interp.map(net.candidates(_, SeqRecModel.MaskK))
+    val found = Array.tabulate(L)(j => net.candidates(tl.interpXY(j), SeqRecModel.MaskK))
     val masks = found.map(_.ids)
-    val maxLen = net.segments.map(_.lengthM).max
     // Per-candidate geometry: proximity to the interpolated position (two
     // decay scales), direction alignment with the travel direction, and
     // segment length. Without this the scorer must memorise every segment's
     // geometry into its embedding, which needs orders of magnitude more
     // training data than we generate.
     val maskFeat = Array.tabulate(L) { j =>
-      // travel direction between bracketing observed points
-      val (a, b) = Recoverer.bracket(t, before(j))
-      val dir = b.xy - a.xy
+      val dir = tl.direction(j)
       val ids = masks(j); val dists = found(j).dists
       val row = new Array[Double](4 * ids.length)
       var k = 0
@@ -123,7 +119,7 @@ final class SeqRecModel(
         val seg = net.segments(ids(k))
         val d = dists(k)
         row(4 * k) = math.exp(-d / 50.0); row(4 * k + 1) = math.exp(-d / 150.0)
-        row(4 * k + 2) = Geo.cosine(seg.dir, dir); row(4 * k + 3) = seg.lengthM / maxLen
+        row(4 * k + 2) = Geo.cosine(seg.dir, dir); row(4 * k + 3) = seg.lengthM / net.maxSegLen
         k += 1
       }
       row

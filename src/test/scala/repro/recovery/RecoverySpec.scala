@@ -47,39 +47,103 @@ class RecoverySpec extends AnyFunSuite {
       assert(tl.length == t.dense.length)
       tl.times.zip(t.dense).foreach { case (tt, d) => assert(math.abs(tt - d.t) < 1e-6) }
       assert((0 until tl.length).filter(tl.observed) == t.sparseIdxInDense.toSeq)
+      assert(tl.slotOf.toSeq == t.sparseIdxInDense.toSeq)
       (0 until tl.length).foreach(j => assert(tl.anchor(j) == t.sparseIdxInDense.lastIndexWhere(_ <= j)))
     }
   }
 
-  test("slot timeline rounds gaps whose timestamps are not multiples of epsilon") {
+  /** Sparse points whose timestamps are not multiples of 15 s. */
+  private val irregular = {
     val ts = Seq(0.0, 37.0, 52.4, 100.0, 122.5, 123.0)
-    val t = Traj(1L, ts.map(repro.traj.GpsPoint(0, 0, _)).toArray, Array.empty, Array.empty,
-      Array.empty, Array.empty)
-    val tl = Recoverer.slotTimeline(t, 15.0)
+    Traj(1L, ts.zipWithIndex.map { case (tt, i) => repro.traj.GpsPoint(10.0 * i * i, 7.0 - 3.3 * i, tt) }.toArray,
+      Array.empty, Array.empty, Array.empty, Array.empty)
+  }
+
+  /** Simulator trajectories and `irregular`, each with its slot timeline. */
+  private def timelines: Seq[(Traj, SlotTimeline)] =
+    (testSet.take(20).map(t => t -> Recoverer.slotTimeline(t, cfg.epsilon)) :+
+      (irregular -> Recoverer.slotTimeline(irregular, 15.0))).toSeq
+
+  test("slot timeline rounds gaps whose timestamps are not multiples of epsilon") {
+    val tl = Recoverer.slotTimeline(irregular, 15.0)
     // 37/15 -> 1 missing slot; 15.4/15 -> none; 47.6/15 -> 2; 22.5/15 = 1.5
     // rounds up -> 1; 0.5/15 -> none.
     val want = Seq(0.0, 15.0, 37.0, 52.4, 67.4, 82.4, 100.0, 115.0, 122.5, 123.0)
     assert(tl.length == want.length)
     tl.times.zip(want).foreach { case (a, b) => assert(math.abs(a - b) < 1e-9, s"${tl.times.toSeq}") }
     assert(tl.anchor.toSeq == Seq(0, 0, 1, 2, 2, 2, 3, 3, 4, 5))
+    assert(tl.slotOf.toSeq == Seq(0, 2, 3, 6, 8, 9))
     assert((0 until tl.length).map(tl.observed) ==
       Seq(true, false, true, true, false, false, true, false, true, true))
   }
 
-  test("lastBefore walks to the same point as a scan from the first point") {
+  test("slot brackets and interpolations equal a scan from the first point") {
     def scan(t: Traj, tt: Double): Int = {
       var i = 0
       while (i + 1 < t.sparse.length && t.sparse(i + 1).t < tt) i += 1
       i
     }
-    val rnd = new scala.util.Random(7)
-    testSet.take(20).foreach { t =>
-      val slots = Recoverer.slotTimeline(t, cfg.epsilon).times
-      // Times that tie with observed points, fall back, or lie outside.
-      val mixed = slots ++ Array(t.sparse(1).t, -1.0, t.sparse.last.t + 100) ++
-        Array.fill(20)(t.sparse.last.t * rnd.nextDouble())
-      Seq(slots, mixed).foreach(times =>
-        assert(Recoverer.lastBefore(t, times).toSeq == times.toSeq.map(scan(t, _)), s"${t.id}"))
+    def bits(p: repro.geo.XY) = (java.lang.Double.doubleToLongBits(p.x), java.lang.Double.doubleToLongBits(p.y))
+    timelines.foreach { case (t, tl) =>
+      (0 until tl.length).foreach { j =>
+        val i = scan(t, tl.times(j))
+        assert(tl.before(j) == i, s"traj ${t.id} slot $j")
+        val a = t.sparse(i); val b = t.sparse(math.min(i + 1, t.sparse.length - 1))
+        val f = if (b.t - a.t < 1e-9) 0.0 else (tl.times(j) - a.t) / (b.t - a.t)
+        assert(bits(tl.interpXY(j)) == bits(repro.geo.XY(a.x + (b.x - a.x) * f, a.y + (b.y - a.y) * f)))
+        assert(bits(tl.direction(j)) == bits(b.xy - a.xy))
+      }
+    }
+  }
+
+  test("slot timeline rejects a repeated timestamp") {
+    val pts = irregular.sparse.clone()
+    pts(3) = pts(3).copy(t = pts(2).t)
+    intercept[IllegalArgumentException](Recoverer.slotTimeline(irregular.copy(sparse = pts), 15.0))
+  }
+
+  test("slot gaps from an observed mask equal the timeline's") {
+    timelines.foreach { case (_, tl) =>
+      val gaps = new SlotGaps(Array.tabulate(tl.length)(tl.observed))
+      assert(gaps.slotOf.toSeq == tl.slotOf.toSeq && gaps.anchor.toSeq == tl.anchor.toSeq)
+      (0 until tl.length).foreach { j =>
+        val (lo, hi) = (tl.lo(j), tl.hi(j))
+        assert(gaps.lo(j) == lo && gaps.hi(j) == hi && gaps.gapFrac(j) == tl.gapFrac(j))
+        assert(lo <= j && j <= hi && tl.observed(lo) && tl.observed(hi))
+        assert(tl.gapFrac(j) == (if (hi == lo) 0.0 else (j - lo).toDouble / (hi - lo)))
+      }
+    }
+  }
+
+  test("RouteArc.walk equals the TRMMA and Linear route walks it replaced") {
+    // TrmmaModel.prepare's walk: stay at the last position found.
+    def trmmaWalk(route: Array[Int], segs: Array[Int]): Seq[Int] = {
+      var cur = 0
+      segs.toSeq.map { seg =>
+        val p = RouteArc.posOf(route, seg, cur)
+        if (p >= 0) cur = p
+        cur
+      }
+    }
+    // LinearInterp's walk: the arc position of each found point.
+    def linearArcs(arc: RouteArc, segs: Array[Int], ratios: Array[Double]): Seq[Double] = {
+      var pos = 0
+      segs.indices.map { i =>
+        val p = RouteArc.posOf(arc.route, segs(i), pos)
+        if (p >= 0) pos = p
+        arc.arcOf(math.max(0, p), ratios(i))
+      }
+    }
+    testSet.foreach { t =>
+      val arc = new RouteArc(net, t.route)
+      Seq(t.sparseTruthSeg, t.dense.map(_.seg)).foreach(segs =>
+        assert(arc.walk(segs).toSeq == trmmaWalk(t.route, segs), s"traj ${t.id}"))
+      val ratios = t.sparse.indices.map(i => net.projectRatio(t.sparse(i).xy, t.sparseTruthSeg(i))).toArray
+      val pos = arc.walk(t.sparseTruthSeg)
+      assert(ratios.indices.map(i => arc.arcOf(pos(i), ratios(i))) == linearArcs(arc, t.sparseTruthSeg, ratios))
+      // A segment off the route keeps the previous position.
+      val holed = t.dense.map(_.seg).zipWithIndex.map { case (s, j) => if (j % 3 == 1) -1 else s }
+      assert(arc.walk(holed).toSeq == trmmaWalk(t.route, holed), s"traj ${t.id}")
     }
   }
 

@@ -1,12 +1,13 @@
 package repro.recovery
 
-import repro.geo.Geo
+import repro.geo.{Geo, XY}
 import repro.nn.{NoTape, Ops, Tape}
 import repro.traj.{MatchedPoint, Recovered, Traj}
 
 /** MTrajRec's decode loop as it ran on `NoTape`, with a fresh array for
   * every op, and its per-slot mask features as they were built from one
-  * small array per candidate. Kept as the reference for
+  * small array per candidate, each slot's bracketing points found by its own
+  * scan. Kept as the reference for
   * `SeqRecModel.recover` on recycled `Scratch` arrays and for
   * `SeqRecModel.prepare`, which must equal these bit for bit.
   */
@@ -35,11 +36,16 @@ object ReferenceSeqRec {
 
   def maskFeat(m: SeqRecModel, t: Traj, s: SeqRecSample): Array[Array[Double]] = {
     val net = m.net
-    val before = Recoverer.lastBefore(t, s.times)
     val maxLen = net.segments.map(_.lengthM).max
     Array.tabulate(s.times.length) { j =>
-      val found = net.candidates(Recoverer.interpXY(t, s.times(j), before(j)), s.masks(j).length)
-      val (a, b) = Recoverer.bracket(t, before(j))
+      // The last point before the slot's time (the first if none) and its
+      // successor bracket the slot.
+      val tt = s.times(j)
+      var i = 0
+      while (i + 1 < t.sparse.length && t.sparse(i + 1).t < tt) i += 1
+      val a = t.sparse(i); val b = t.sparse(math.min(i + 1, t.sparse.length - 1))
+      val f = if (b.t - a.t < 1e-9) 0.0 else (tt - a.t) / (b.t - a.t)
+      val found = net.candidates(XY(a.x + (b.x - a.x) * f, a.y + (b.y - a.y) * f), s.masks(j).length)
       val dir = b.xy - a.xy
       found.ids.indices.toArray.flatMap { k =>
         val seg = net.segments(found.ids(k))
