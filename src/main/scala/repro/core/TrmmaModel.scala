@@ -11,9 +11,7 @@ import scala.util.Random
   */
 final case class TrmmaConfig(
     useDualFormer: Boolean = true, // off => TRMMA-DF (H = R)
-) extends Serializable {
-  def lambda: Double = TrmmaModel.Lambda
-}
+) extends Serializable
 
 /** A prepared TRMMA sample: encoder inputs plus the decoder walk over the
   * dense timeline.
@@ -119,9 +117,7 @@ final class TrmmaModel(
     if (!cfg.useDualFormer) return r // TRMMA-DF: H = R
     val t0 = Ops.concatCols(Tensor.fromRows(s.coords.toIndexedSeq), segEmbT(s.segs))
     val tEnc = transT(fcT(t0))
-    val b = Ops.matmul(r, Ops.transpose(tEnc)) // lR x l
-    val beta = Ops.softmaxRows(b)              // Eq. 13
-    Ops.add(r, Ops.matmul(beta, tEnc))         // Eq. 14
+    Ops.add(r, DotAttention(r, tEnc)) // Eq. 13-14
   }
 
   /** Decoder GRU input: previous point (segment id + ratio), the normalised
@@ -267,9 +263,9 @@ final class TrmmaModel(
       val hNext = gru(gruInput(prevSeg, prevR, j / lastT, s.slotFeat(j)), h)
       if (s.observed(j)) {
         prevSeg = s.denseSeg(j); prevR = s.denseR(j)
-        // Advance the route position monotonically to this observed segment.
-        val p = RouteArc.posOf(s.route, prevSeg, prevPos)
-        if (p >= 0) prevPos = p
+        // `prepare`'s walk put this segment at its first route position at
+        // or after the gap's left anchor; no position decoded since is later.
+        prevPos = s.densePos(j)
         out(j) = MatchedPoint(prevSeg, prevR, denseT(j))
       } else {
         val lo = s.slotLo(j); val hi = s.slotHi(j)

@@ -42,24 +42,29 @@ object Tables {
     rows.mkString("\n")
   }
 
-  private val recMetrics = Seq("recall", "precision", "f1", "accuracy", "mae", "rmse")
-
-  /** Table III: trajectory recovery effectiveness. */
-  def tableIII(evs: Map[String, CityEval]): String = {
-    val header = "city\tmethod\t" + recMetrics.mkString("\t") + "\tsec_per_1000"
+  /** One row per city and method: MAE and RMSE in metres, every other
+    * metric in per cent, then the seconds per 1000 trajectories.
+    */
+  private def methodTable(file: String, metrics: Seq[String], evs: Map[String, CityEval],
+                          scores: CityEval => Iterable[(String, MethodScores)]): String = {
+    val header = "city\tmethod\t" + metrics.mkString("\t") + "\tsec_per_1000"
     val rows = for {
       c <- cities
-      (m, sc) <- evs(c).recovery.toSeq
+      (m, sc) <- scores(evs(c)).toSeq
     } yield {
-      val vals = recMetrics.map { k =>
+      val vals = metrics.map { k =>
         val v = sc.metrics(k)
         if (k == "mae" || k == "rmse") f"$v%.1f" else f"${v * 100}%.2f"
       }
       s"$c\t$m\t" + vals.mkString("\t") + f"\t${sc.secPer1000}%.2f"
     }
-    writeTsv("table3.tsv", header +: rows)
+    writeTsv(file, header +: rows)
     (header +: rows).mkString("\n")
   }
+
+  /** Table III: trajectory recovery effectiveness. */
+  def tableIII(evs: Map[String, CityEval]): String =
+    methodTable("table3.tsv", Seq("recall", "precision", "f1", "accuracy", "mae", "rmse"), evs, _.recovery)
 
   /** Table IV: TRMMA ablations (accuracy %). */
   def tableIV(evs: Map[String, CityEval]): String = {
@@ -72,18 +77,7 @@ object Tables {
     (header +: rows).mkString("\n")
   }
 
-  private val mmMetrics = Seq("precision", "recall", "f1", "jaccard")
-
   /** Table V: map matching effectiveness. */
-  def tableV(evs: Map[String, CityEval]): String = {
-    val header = "city\tmethod\t" + mmMetrics.mkString("\t") + "\tsec_per_1000"
-    val rows = for {
-      c <- cities
-      (m, sc) <- evs(c).mapmatch.toSeq
-    } yield
-      s"$c\t$m\t" + mmMetrics.map(k => f"${sc.metrics(k) * 100}%.2f").mkString("\t") +
-        f"\t${sc.secPer1000}%.2f"
-    writeTsv("table5.tsv", header +: rows)
-    (header +: rows).mkString("\n")
-  }
+  def tableV(evs: Map[String, CityEval]): String =
+    methodTable("table5.tsv", Seq("precision", "recall", "f1", "jaccard"), evs, _.mapmatch)
 }

@@ -37,6 +37,9 @@ object Geo {
   def lerp(a: XY, b: XY, r: Double): XY =
     XY(a.x + (b.x - a.x) * r, a.y + (b.y - a.y) * r)
 
+  /** A `Long` key for the ordered pair of ids (a, b). */
+  def pairKey(a: Int, b: Int): Long = (a.toLong << 32) | (b.toLong & 0xffffffffL)
+
   /** Cosine similarity of two planar vectors; 0 when either is degenerate. */
   def cosine(u: XY, v: XY): Double = {
     val d = u.norm * v.norm

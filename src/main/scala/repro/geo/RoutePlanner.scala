@@ -26,12 +26,10 @@ final class RoutePlanner(
     beta: Double,
 ) extends Serializable {
 
-  private def key(a: Int, b: Int): Long = (a.toLong << 32) | (b.toLong & 0xffffffffL)
-
   /** -log of smoothed P(next | cur). */
   def negLogProb(cur: Int, next: Int): Double = {
     val deg = math.max(1, net.nextSegments(cur).length)
-    val c = counts.getOrElse(key(cur, next), 0)
+    val c = counts.getOrElse(Geo.pairKey(cur, next), 0)
     val tot = outTotals.getOrElse(cur, 0)
     -math.log((c + 1.0) / (tot + deg.toDouble))
   }
@@ -81,7 +79,7 @@ object RoutePlanner {
     routes.foreach { r =>
       r.sliding(2).foreach {
         case Seq(a, b) if a != b =>
-          val k = (a.toLong << 32) | (b.toLong & 0xffffffffL)
+          val k = Geo.pairKey(a, b)
           counts(k) = counts.getOrElse(k, 0) + 1
           totals(a) = totals.getOrElse(a, 0) + 1
         case _ => ()

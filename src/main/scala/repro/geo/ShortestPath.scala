@@ -183,7 +183,7 @@ object ShortestPath {
   final class DistCache(net: RoadNetwork) {
     private val cache = mutable.LongMap.empty[Double]
     def nodeDist(a: Int, b: Int): Double =
-      cache.getOrElseUpdate((a.toLong << 32) | (b.toLong & 0xffffffffL), aStar(net, a, b))
+      cache.getOrElseUpdate(Geo.pairKey(a, b), aStar(net, a, b))
 
     /** [[ShortestPath.directedDist]], with A* run only when it is needed. */
     def directedDist(segA: Int, rA: Double, segB: Int, rB: Double): Double =

@@ -2,6 +2,15 @@ package repro.nn
 
 import scala.util.Random
 
+/** Unscaled single-head dot-product attention with keys = values:
+  * softmax(q·kvᵀ)·kv, one row of weights per query row. TRMMA's encoder
+  * fusion (paper Eq. 13–14) and the seq2seq and DHTR decoder contexts.
+  */
+object DotAttention {
+  def apply(q: Tensor, kv: Tensor)(implicit tp: Tape): Tensor =
+    Ops.matmul(Ops.softmaxRows(Ops.matmul(q, Ops.transpose(kv))), kv)
+}
+
 /** Multi-head scaled-dot-product self/cross attention (paper Eq. 4). */
 final class MultiHeadAttention(
     val wq: Linear,

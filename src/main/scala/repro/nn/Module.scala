@@ -47,7 +47,6 @@ object LayerNorm {
   */
 final class Embedding(val table: Tensor) extends Module {
   def apply(ids: Array[Int])(implicit tp: Tape): Tensor = Ops.rows(table, ids)
-  def dim: Int = table.cols
   def params: Seq[Tensor] = Seq(table)
 }
 

@@ -121,10 +121,11 @@ object Ops {
     y
   }
 
-  /** Row-wise softmax. */
-  def softmaxRows(a: Tensor)(implicit tp: Tape): Tensor = {
+  /** Row-wise softmax of `a` into `out` (same size): each row shifted by
+    * its maximum, exponentiated and divided by its sum.
+    */
+  private def softmaxInto(a: Tensor, out: Array[Double]): Unit = {
     val n = a.cols
-    val out = tp.alloc(a.size)
     var i = 0
     while (i < a.rows) {
       var mx = Double.NegativeInfinity
@@ -137,6 +138,13 @@ object Ops {
       while (j < n) { out(i * n + j) /= s; j += 1 }
       i += 1
     }
+  }
+
+  /** Row-wise softmax. */
+  def softmaxRows(a: Tensor)(implicit tp: Tape): Tensor = {
+    val n = a.cols
+    val out = tp.alloc(a.size)
+    softmaxInto(a, out)
     val y = new Tensor(a.rows, n, out)
     if (tp.active) tp.record(y) { () =>
       val dy = tp.grad(y); val da = tp.grad(a)
@@ -366,19 +374,10 @@ object Ops {
     require(targets.length == logits.rows)
     val n = logits.cols
     val probs = tp.alloc(logits.size)
+    softmaxInto(logits, probs)
     var loss = 0.0
     var i = 0
-    while (i < logits.rows) {
-      var mx = Double.NegativeInfinity; var j = 0
-      while (j < n) { if (logits(i, j) > mx) mx = logits(i, j); j += 1 }
-      var s = 0.0
-      j = 0
-      while (j < n) { val e = math.exp(logits(i, j) - mx); probs(i * n + j) = e; s += e; j += 1 }
-      j = 0
-      while (j < n) { probs(i * n + j) /= s; j += 1 }
-      loss += -math.log(math.max(1e-12, probs(i * n + targets(i))))
-      i += 1
-    }
+    while (i < logits.rows) { loss += -math.log(math.max(1e-12, probs(i * n + targets(i)))); i += 1 }
     val y = new Tensor(1, 1, tp.alloc(1))
     y.data(0) = loss
     if (tp.active) tp.record(y) { () =>

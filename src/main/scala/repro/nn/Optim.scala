@@ -54,9 +54,11 @@ object Trainer {
 
   /** Chunks per minibatch, cut in sample order. */
   private final val Chunks = 3
-  private lazy val nThreads = math.max(2, Runtime.getRuntime.availableProcessors() - 1)
+  /** One thread per chunk: a step runs at most `Chunks` futures, and steps
+    * never overlap.
+    */
   private lazy val pool =
-    ExecutionContext.fromExecutorService(Executors.newFixedThreadPool(nThreads, r => {
+    ExecutionContext.fromExecutorService(Executors.newFixedThreadPool(Chunks, r => {
       val t = new Thread(r, "nn-trainer"); t.setDaemon(true); t
     }))
 

@@ -87,9 +87,7 @@ final class DhtrModel(
     val enc = encoder(encFc(Tensor.fromRows(frame.rows.toIndexedSeq)))
     val rows = times.indices.map { j =>
       val q = queryFc(new Tensor(1, 3, frame.at(lin(j).x, lin(j).y, times(j))))
-      val scores = Ops.matmul(q, Ops.transpose(enc))
-      val ctx = Ops.matmul(Ops.softmaxRows(scores), enc)
-      Ops.sigmoid(head(Ops.concatCols(q, ctx)))
+      Ops.sigmoid(head(Ops.concatCols(q, DotAttention(q, enc))))
     }
     Ops.concatRows(rows)
   }

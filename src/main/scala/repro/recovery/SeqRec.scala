@@ -35,7 +35,6 @@ final case class SeqRecConfig(kind: String) extends Serializable {
 /** Prepared sample: encoder features, per-slot candidate masks and targets. */
 final case class SeqRecSample(
     feats: Array[Array[Double]],   // l x featDim encoder inputs
-    nearSeg: Array[Int],           // nearest segment per sparse point (graph feats)
     masks: Array[Array[Int]],      // L x MaskK candidate ids per dense slot
     maskFeat: Array[Array[Double]], // L x (MaskK*4) per-candidate geometry
     times: Array[Double],          // L slot times
@@ -49,7 +48,7 @@ final class SeqRecModel(
     val net: RoadNetwork,
     val epsilon: Double,
     val segIn: Embedding,    // decoder input embedding (Node2Vec-initialised)
-    val segOut: Embedding,   // scoring embedding over all n segments
+    val segOut: Embedding,   // scoring embedding, read at each slot's MaskK candidates
     val encFc: Linear,
     val encGru: BiGru,                 // used when kind == mtrajrec
     val encTrans: TransformerEncoder,  // used otherwise
@@ -68,7 +67,7 @@ final class SeqRecModel(
   }
 
   /** Per-point encoder features, depending on `kind`. */
-  private def pointFeats(t: Traj, frame: SparseFrame, i: Int, nearSeg: Int): Array[Double] = {
+  private def pointFeats(t: Traj, frame: SparseFrame, i: Int): Array[Double] = {
     val p = t.sparse(i)
     val tn = frame.timeFrac(p.t)
     val (dt, dist) =
@@ -78,7 +77,7 @@ final class SeqRecModel(
         ((p.t - q.t) / frame.tMax, math.hypot(p.x - q.x, p.y - q.y) / 3000.0)
       }
     val base = frame.row(i) ++ Array(dt, dist)
-    def n2v = node2vec.rowCopy(nearSeg)
+    def n2v = node2vec.rowCopy(net.nearestSegments(p.xy, 1).head)
     cfg.kind match {
       case "mtrajrec" => base
       case "rntrajrec" => base ++ n2v
@@ -95,9 +94,8 @@ final class SeqRecModel(
   }
 
   def prepare(t: Traj, withLabels: Boolean): SeqRecSample = {
-    val nearSeg = t.sparse.map(p => net.nearestSegments(p.xy, 1).head)
     val frame = new SparseFrame(net, t)
-    val feats = Array.tabulate(t.sparse.length)(i => pointFeats(t, frame, i, nearSeg(i)))
+    val feats = Array.tabulate(t.sparse.length)(i => pointFeats(t, frame, i))
     val tl = Recoverer.slotTimeline(t, epsilon)
     val times = tl.times
     val L = tl.length
@@ -124,12 +122,12 @@ final class SeqRecModel(
       }
       row
     }
-    val dur = math.max(1e-9, times.last - times.head)
-    val tNorm = times.map(tt => (tt - times.head) / dur)
+    // The timeline starts and ends at the first and last sparse points.
+    val tNorm = times.map(frame.timeFrac)
     val (tSeg, tR) =
       if (withLabels) (t.dense.map(_.seg), t.dense.map(_.r))
       else (Array.fill(L)(-1), new Array[Double](L))
-    SeqRecSample(feats, nearSeg, masks, maskFeat, times, tNorm, tSeg, tR)
+    SeqRecSample(feats, masks, maskFeat, times, tNorm, tSeg, tR)
   }
 
   /** Encoder states (pooled variants collapse to a single row). */
@@ -148,15 +146,9 @@ final class SeqRecModel(
     Ops.concatCols(segIn(Array(seg)), new Tensor(1, 2, x))
   }
 
-  /** Decoder attention context over the encoder states. */
-  private def context(h: Tensor, enc: Tensor)(implicit tp: Tape): Tensor = {
-    val scores = Ops.matmul(attnProj(h), Ops.transpose(enc)) // 1 x l
-    Ops.matmul(Ops.softmaxRows(scores), enc)
-  }
-
   /** Candidate logits for slot j: embedding score plus geometric bypass. */
   private[recovery] def slotLogits(h: Tensor, enc: Tensor, s: SeqRecSample, j: Int)(implicit tp: Tape): (Tensor, Tensor) = {
-    val ctx = context(h, enc)
+    val ctx = DotAttention(attnProj(h), enc) // decoder context over the encoder states
     val q = clsProj(Ops.concatCols(h, ctx)) // 1 x dh
     val mask = s.masks(j)
     val cand = segOut(mask)                 // maskK x dh

@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestWorld
+import repro.mm.{HmmMatcher, Nearest}
 import repro.nn.{GradTape, NoTape, Ops, Tape, Tensor}
 
 /** The block-split heads (`TrmmaModel.Heads`, `MmaModel.Scorer`) against
@@ -97,18 +98,28 @@ class HeadsSpec extends AnyFunSuite {
   }
 
   test("TRMMA decode on recycled scratch arrays equals the NoTape loop bit for bit") {
-    val rec = new Trmma(trmma, new TruthMatcher, cfg.epsilon)
-    var slots = 0
-    testSet.foreach { t =>
-      val (s, times) = rec.prepare(t, rec.matcher.matchTraj(t))
-      val out = trmma.decode(s, times)
-      val ref = ReferenceHeads.splitDecode(trmma, s, times)
-      slots += out.length
-      assert(out.map(_.seg).sameElements(ref.map(_.seg)), s"traj ${t.id}: segments")
-      assert(out.map(p => java.lang.Double.doubleToLongBits(p.r)).sameElements(
-        ref.map(p => java.lang.Double.doubleToLongBits(p.r))), s"traj ${t.id}: ratios")
+    // Routes from three matchers; the planner's routes may revisit a segment,
+    // where `decode`'s `densePos` and the reference's route scan could part.
+    val matchers = Seq(new TruthMatcher, new Nearest(net, planner), new HmmMatcher(net, planner))
+    var revisits = 0
+    matchers.foreach { matcher =>
+      val rec = new Trmma(trmma, matcher, cfg.epsilon)
+      var slots = 0
+      testSet.foreach { t =>
+        val (s, times) = rec.prepare(t, matcher.matchTraj(t))
+        if (s.route.distinct.length < s.route.length) revisits += 1
+        val out = trmma.decode(s, times)
+        val ref = ReferenceHeads.splitDecode(trmma, s, times)
+        slots += out.length
+        val who = s"${matcher.getClass.getSimpleName} traj ${t.id}"
+        assert(out.map(_.seg).sameElements(ref.map(_.seg)), s"$who: segments")
+        assert(out.map(p => java.lang.Double.doubleToLongBits(p.r)).sameElements(
+          ref.map(p => java.lang.Double.doubleToLongBits(p.r))), s"$who: ratios")
+      }
+      info(s"${matcher.getClass.getSimpleName}: $slots slots decoded")
     }
-    info(s"$slots slots decoded")
+    info(s"$revisits routes revisit a segment")
+    assert(revisits > 0, "no route revisits a segment")
   }
 
   test("MMA logits, loss and every parameter gradient match the concatenated head; logitsFor equals its Scorer row") {

@@ -7,7 +7,8 @@ import repro.traj.MatchedPoint
 /** The decoder and attention heads as they were written with concatenated
   * inputs, kept as the reference for the block-split heads of
   * `TrmmaModel.Heads` and `MmaModel.logitsFor`, and TRMMA's decode loop as
-  * it ran on `NoTape` (`splitDecode`). TRMMA's slot tiles `h` over
+  * it ran on `NoTape` (`splitDecode`), which scans the route for each
+  * observed segment where `decode` reads `densePos`. TRMMA's slot tiles `h` over
   * its window and pushes `[H[k]; h; geo]` through `clsMlp`; MMA tiles `z2i`
   * over the candidates. The loss, decode and prediction loops around them
   * are copied unchanged so whole trajectories can be compared.
@@ -49,7 +50,7 @@ object ReferenceHeads {
         val lSeg = Ops.bceLogitsSum(wWin, labels)
         val r = ratioHead(m, h, hWin, wWin, math.min(hi, math.max(lo, s.densePos(j))) - lo, geo)
         val lR = Ops.maeSum(r, Array(s.denseR(j)))
-        val l = Ops.add(lSeg, Ops.scale(lR, m.cfg.lambda))
+        val l = Ops.add(lSeg, Ops.scale(lR, TrmmaModel.Lambda))
         lossAcc = if (lossAcc == null) l else Ops.add(lossAcc, l)
       }
       j += 1

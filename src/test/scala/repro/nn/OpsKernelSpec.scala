@@ -58,6 +58,17 @@ class OpsKernelSpec extends AnyFunSuite {
     })
   }
 
+  test("softmax and cross-entropy kernels equal their closure-built definitions bit for bit") {
+    check("softmaxRows")(Prop.forAllNoShrink(one)(a => sameBits(Ops.softmaxRows(a), ReferenceOps.softmaxRows(a))))
+    val ce = for {
+      r <- dim; c <- Gen.choose(1, 6); logits <- tensor(r, c)
+      targets <- Gen.listOfN(r, Gen.choose(0, c - 1))
+    } yield (logits, targets.toArray)
+    check("ceRowsSum")(Prop.forAllNoShrink(ce) { case (logits, targets) =>
+      sameBits(Ops.ceRowsSum(logits, targets), ReferenceOps.ceRowsSum(logits, targets))
+    })
+  }
+
   test("layout kernels equal their closure-built definitions bit for bit") {
     check("transpose")(Prop.forAllNoShrink(one)(a => sameBits(Ops.transpose(a), ReferenceOps.transpose(a))))
     val pair = for (r <- dim; c1 <- dim; c2 <- dim; a <- tensor(r, c1); b <- tensor(r, c2)) yield (a, b)

@@ -1,11 +1,11 @@
 package repro.nn
 
 /** Forward values of the `Ops` kernels as they were written with the
-  * closure-taking `Tensor(r, c)(f)` constructor, `Array.tabulate` and `.map`,
-  * the positional encodings as they were recomputed on every call, and the
-  * three matmul products as plain loops. Kept as the reference for the loop,
-  * `System.arraycopy` and register-blocked [[MatMul]] kernels, which must
-  * equal these bit for bit.
+  * closure-taking `Tensor(r, c)(f)` constructor, `Array.tabulate`, `.map`
+  * and folds, the positional encodings as they were recomputed on every
+  * call, and the three matmul products as plain loops. Kept as the
+  * reference for the loop, `System.arraycopy` and register-blocked
+  * [[MatMul]] kernels, which must equal these bit for bit.
   */
 object ReferenceOps {
 
@@ -84,6 +84,21 @@ object ReferenceOps {
     new Tensor(a.rows, a.cols, a.data.map(v => 1.0 / (1.0 + math.exp(-v))))
 
   def tanh(a: Tensor): Tensor = new Tensor(a.rows, a.cols, a.data.map(math.tanh))
+
+  def softmaxRows(a: Tensor): Tensor = {
+    val mx = Array.tabulate(a.rows)(i =>
+      (0 until a.cols).foldLeft(Double.NegativeInfinity)((m, j) => if (a(i, j) > m) a(i, j) else m))
+    val e = Tensor(a.rows, a.cols)((i, j) => math.exp(a(i, j) - mx(i)))
+    val sum = Array.tabulate(a.rows)(i => (0 until a.cols).foldLeft(0.0)((s, j) => s + e(i, j)))
+    Tensor(a.rows, a.cols)((i, j) => e(i, j) / sum(i))
+  }
+
+  /** Summed -log of each row's softmax at its target, floored at 1e-12. */
+  def ceRowsSum(logits: Tensor, targets: Array[Int]): Tensor = {
+    val p = softmaxRows(logits)
+    val loss = targets.indices.foldLeft(0.0)((l, i) => l + -math.log(math.max(1e-12, p(i, targets(i)))))
+    new Tensor(1, 1, Array(loss))
+  }
 
   def layerNorm(x: Tensor, gain: Tensor, bias: Tensor, eps: Double = 1e-5): Tensor = {
     val n = x.cols
