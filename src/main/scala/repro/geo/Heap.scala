@@ -6,6 +6,11 @@ package repro.geo
   * `java.lang.Double.compare` on the key (reversed when `descending`), so
   * entries with equal keys leave in the same order as they would from that
   * queue.
+  *
+  * Keys must be non-negative, never NaN and never -0.0 (every caller's key
+  * is a `hypot`, an `|x|`, or a sum from 0.0 of lengths or costs). On such
+  * keys `<` and `>` order as `Double.compare` does, so the heap compares
+  * with them.
   */
 private[geo] final class Heap(descending: Boolean = false) {
   private var keys = new Array[Double](64)
@@ -21,9 +26,8 @@ private[geo] final class Heap(descending: Boolean = false) {
   /** The first entry's key; the heap must not be empty. */
   def peekKey: Double = keys(0)
 
-  /** `Double.compare` of two keys in this heap's order. */
-  private def cmp(a: Double, b: Double): Int =
-    if (descending) java.lang.Double.compare(b, a) else java.lang.Double.compare(a, b)
+  /** Whether key `a` leaves strictly before key `b` in this heap's order. */
+  private def before(a: Double, b: Double): Boolean = if (descending) a > b else a < b
 
   def add(key: Double, value: Int): Unit = {
     if (n == keys.length) {
@@ -35,7 +39,7 @@ private[geo] final class Heap(descending: Boolean = false) {
     var moving = true
     while (moving && k > 0) {
       val parent = (k - 1) >>> 1
-      if (cmp(key, keys(parent)) >= 0) moving = false
+      if (!before(key, keys(parent))) moving = false
       else { keys(k) = keys(parent); values(k) = values(parent); k = parent }
     }
     keys(k) = key; values(k) = value
@@ -54,8 +58,8 @@ private[geo] final class Heap(descending: Boolean = false) {
       while (moving && k < half) {
         var child = 2 * k + 1
         val right = child + 1
-        if (right < last && cmp(keys(child), keys(right)) > 0) child = right
-        if (cmp(key, keys(child)) <= 0) moving = false
+        if (right < last && before(keys(right), keys(child))) child = right
+        if (!before(keys(child), key)) moving = false
         else { keys(k) = keys(child); values(k) = values(child); k = child }
       }
       keys(k) = key; values(k) = value

@@ -20,6 +20,8 @@ final case class Segment(
 ) extends Serializable {
   /** Direction vector of the segment (entrance to exit). */
   def dir: XY = b - a
+  /** `dir.norm`, computed once. */
+  val dirNorm: Double = dir.norm
 }
 
 /** A directed road network G = (V, E) in a city-local planar frame (metres).

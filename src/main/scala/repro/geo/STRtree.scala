@@ -6,12 +6,6 @@ import scala.collection.mutable
 final case class MBR(minX: Double, minY: Double, maxX: Double, maxY: Double) extends Serializable {
   def union(o: MBR): MBR =
     MBR(math.min(minX, o.minX), math.min(minY, o.minY), math.max(maxX, o.maxX), math.max(maxY, o.maxY))
-  /** Minimum distance from `p` to this box (0 if inside). */
-  def minDist(p: XY): Double = {
-    val dx = if (p.x < minX) minX - p.x else if (p.x > maxX) p.x - maxX else 0.0
-    val dy = if (p.y < minY) minY - p.y else if (p.y > maxY) p.y - maxY else 0.0
-    math.hypot(dx, dy)
-  }
   def centerX: Double = (minX + maxX) / 2
   def centerY: Double = (minY + maxY) / 2
 }
@@ -29,29 +23,45 @@ final case class Candidates(ids: Array[Int], dists: Array[Double])
   * The paper indexes road segments with exactly this structure to obtain the
   * candidate set C_{p_i} (Definition 8).
   *
-  * Nodes are numbered; node `v` has bounding box `mbrs(v)` and, in packing
-  * order, the segment ids of a leaf or the child nodes of a branch in
-  * `items(v)`.
+  * Nodes are numbered; node `v` has, in packing order, the segment ids of a
+  * leaf or the child nodes of a branch in `items(v)`. Geometry is read from
+  * flat arrays: `boxes(4v until 4v + 4)` is node v's (minX, minY, maxX,
+  * maxY) and `ends(4s until 4s + 4)` segment s's (a.x, a.y, b.x, b.y).
   */
 final class STRtree private (
-    private val segments: Array[Segment],
-    private val mbrs: Array[MBR],
+    private val ends: Array[Double],
+    private val boxes: Array[Double],
     private val leaf: Array[Boolean],
     private val items: Array[Array[Int]],
     private val root: Int,
 ) extends Serializable {
+  import STRtree.{boxOffset, cutFor, offsetNorm}
 
   /** The `k` segments nearest to `p` by perpendicular (point-to-segment)
     * distance, with those distances, ordered by `Double.compare` on the
     * distance and then by id.
+    *
+    * Distances are `math.hypot` of an (x, y) offset, as `Geo.pointSegDist`
+    * forms them, and box lower bounds the `hypot` of the offset to the box.
+    * Once `best` holds k entries, a segment or child box whose squared
+    * offset is at least `(worst · Slack)²` is dropped without a `hypot`: the
+    * squared sum is within about 3 ulp of the true square and `hypot` within
+    * 1 ulp of the true norm, so that bound proves `hypot` would be at least
+    * the k-th best distance, which drops it too. Every other candidate is
+    * compared on its `hypot` as before, so results, visit order and `best`'s
+    * evictions are those of the plain search.
     */
   def nearest(p: XY, k: Int): Candidates = {
-    if (segments.isEmpty || k <= 0) return Candidates(Array.emptyIntArray, Array.emptyDoubleArray)
+    if (leaf.isEmpty || k <= 0) return Candidates(Array.emptyIntArray, Array.emptyDoubleArray)
+    val px = p.x; val py = p.y
     // Frontier of tree nodes keyed by optimistic lower-bound distance.
     val frontier = new Heap
-    frontier.add(mbrs(root).minDist(p), root)
+    frontier.add(boxDist(root, px, py), root)
     // Max-heap of current best k (distance, segId) so the worst is peekable.
     val best = new Heap(descending = true)
+    // Squared offsets at or above `cut` cannot beat the worst of a full
+    // `best`; NaN (no comparison holds) while `best` is not full.
+    var cut = Double.NaN
     while (!frontier.isEmpty) {
       val lb = frontier.peekKey
       val node = frontier.poll()
@@ -62,10 +72,15 @@ final class STRtree private (
         var i = 0
         while (i < entries.length) {
           val sid = entries(i)
-          val s = segments(sid)
-          val d = Geo.pointSegDist(p, s.a, s.b)
-          if (best.size < k) best.add(d, sid)
-          else if (d < best.peekKey) { best.poll(); best.add(d, sid) }
+          val e = 4 * sid
+          val ax = ends(e); val ay = ends(e + 1); val bx = ends(e + 2); val by = ends(e + 3)
+          val t = Geo.projParam(px, py, ax, ay, bx, by)
+          val dx = px - (ax + (bx - ax) * t); val dy = py - (ay + (by - ay) * t)
+          if (!(dx * dx + dy * dy >= cut)) {
+            val d = math.hypot(dx, dy)
+            if (best.size < k) { best.add(d, sid); if (best.size == k) cut = cutFor(best.peekKey) }
+            else if (d < best.peekKey) { best.poll(); best.add(d, sid); cut = cutFor(best.peekKey) }
+          }
           i += 1
         }
       } else {
@@ -73,8 +88,12 @@ final class STRtree private (
         var i = 0
         while (i < children.length) {
           val c = children(i)
-          val clb = mbrs(c).minDist(p)
-          if (best.size < k || clb < best.peekKey) frontier.add(clb, c)
+          val dx = boxOffset(px, boxes(4 * c), boxes(4 * c + 2))
+          val dy = boxOffset(py, boxes(4 * c + 1), boxes(4 * c + 3))
+          if (!(dx * dx + dy * dy >= cut)) {
+            val clb = offsetNorm(dx, dy)
+            if (best.size < k || clb < best.peekKey) frontier.add(clb, c)
+          }
           i += 1
         }
       }
@@ -97,10 +116,39 @@ final class STRtree private (
     }
     Candidates(ids, dists)
   }
+
+  /** Minimum distance from (px, py) to node v's box (0 if inside). */
+  private def boxDist(v: Int, px: Double, py: Double): Double =
+    offsetNorm(boxOffset(px, boxes(4 * v), boxes(4 * v + 2)), boxOffset(py, boxes(4 * v + 1), boxes(4 * v + 3)))
 }
 
 object STRtree {
   private val Capacity = 16
+
+  /** Relative margin of the squared-offset rejection in `nearest`; the
+    * rounding it covers is about 1e-15.
+    */
+  private final val Slack = 1 + 1e-9
+
+  /** The squared offset at or above which a candidate cannot beat `worst`:
+    * `(worst · Slack)²` when that is a finite normal number, else NaN, so
+    * that every candidate goes through `hypot`.
+    */
+  private def cutFor(worst: Double): Double = {
+    val w = worst * Slack
+    val c = w * w
+    if (c >= java.lang.Double.MIN_NORMAL && c < Double.PositiveInfinity) c else Double.NaN
+  }
+
+  /** How far `x` lies outside [lo, hi] (0.0 inside). */
+  private def boxOffset(x: Double, lo: Double, hi: Double): Double =
+    if (x < lo) lo - x else if (x > hi) x - hi else 0.0
+
+  /** `math.hypot(dx, dy)` of two non-negative offsets; with one of them 0.0
+    * it is the other, which is what `hypot` returns.
+    */
+  private def offsetNorm(dx: Double, dy: Double): Double =
+    if (dx == 0.0) dy else if (dy == 0.0) dx else math.hypot(dx, dy)
 
   private def segMbr(s: Segment): MBR =
     MBR(math.min(s.a.x, s.b.x), math.min(s.a.y, s.b.y), math.max(s.a.x, s.b.x), math.max(s.a.y, s.b.y))
@@ -121,7 +169,12 @@ object STRtree {
       }
     var nodes = level(segments.map(s => (segMbr(s), s.id)), leaves = true)
     while (nodes.length > 1) nodes = level(nodes, leaves = false)
-    new STRtree(segments, mbrs.toArray, leaf.toArray, items.toArray, nodes(0)._2)
+    val ends = new Array[Double](4 * segments.length)
+    segments.foreach { s =>
+      ends(4 * s.id) = s.a.x; ends(4 * s.id + 1) = s.a.y; ends(4 * s.id + 2) = s.b.x; ends(4 * s.id + 3) = s.b.y
+    }
+    val boxes = mbrs.toArray.flatMap(b => Array(b.minX, b.minY, b.maxX, b.maxY))
+    new STRtree(ends, boxes, leaf.toArray, items.toArray, nodes(0)._2)
   }
 
   /** Groups of at most `Capacity` entries, with each group's bounding box. */

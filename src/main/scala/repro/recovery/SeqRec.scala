@@ -109,7 +109,7 @@ final class SeqRecModel(
     // geometry into its embedding, which needs orders of magnitude more
     // training data than we generate.
     val maskFeat = Array.tabulate(L) { j =>
-      val dir = tl.direction(j)
+      val dir = tl.direction(j); val dirNorm = dir.norm
       val ids = masks(j); val dists = found(j).dists
       val row = new Array[Double](4 * ids.length)
       var k = 0
@@ -117,7 +117,7 @@ final class SeqRecModel(
         val seg = net.segments(ids(k))
         val d = dists(k)
         row(4 * k) = math.exp(-d / 50.0); row(4 * k + 1) = math.exp(-d / 150.0)
-        row(4 * k + 2) = Geo.cosine(seg.dir, dir); row(4 * k + 3) = seg.lengthM / net.maxSegLen
+        row(4 * k + 2) = Geo.cosine(seg.dir, seg.dirNorm, dir, dirNorm); row(4 * k + 3) = seg.lengthM / net.maxSegLen
         k += 1
       }
       row

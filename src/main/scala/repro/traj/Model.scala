@@ -42,9 +42,10 @@ final case class Traj(
   def dirCosines(i: Int, s: Segment): Array[Double] = {
     val p = sparse(i).xy
     val d = s.dir
-    val prev = if (i > 0) Geo.cosine(d, p - sparse(i - 1).xy) else 0.0
-    val next = if (i + 1 < sparse.length) Geo.cosine(d, sparse(i + 1).xy - p) else 0.0
-    Array(Geo.cosine(d, p - s.a), Geo.cosine(d, s.b - p), prev, next)
+    def cos(v: XY): Double = Geo.cosine(d, s.dirNorm, v, v.norm)
+    val prev = if (i > 0) cos(p - sparse(i - 1).xy) else 0.0
+    val next = if (i + 1 < sparse.length) cos(sparse(i + 1).xy - p) else 0.0
+    Array(cos(p - s.a), cos(s.b - p), prev, next)
   }
 }
 

@@ -13,7 +13,7 @@ final class ReferenceRtree private (segments: Array[Segment], root: ReferenceRtr
     if (segments.isEmpty || k <= 0) return Candidates(Array.emptyIntArray, Array.emptyDoubleArray)
     val frontier = new PriorityQueue[(Double, ReferenceRtree.Node)](11,
       (a: (Double, ReferenceRtree.Node), b: (Double, ReferenceRtree.Node)) => java.lang.Double.compare(a._1, b._1))
-    frontier.add((root.mbr.minDist(p), root))
+    frontier.add((ReferenceRtree.minDist(root.mbr, p), root))
     val best = new PriorityQueue[(Double, Int)](k,
       (a: (Double, Int), b: (Double, Int)) => java.lang.Double.compare(b._1, a._1))
     while (!frontier.isEmpty) {
@@ -33,7 +33,7 @@ final class ReferenceRtree private (segments: Array[Segment], root: ReferenceRtr
           }
         case ReferenceRtree.Branch(_, children) =>
           children.foreach { c =>
-            val clb = c.mbr.minDist(p)
+            val clb = ReferenceRtree.minDist(c.mbr, p)
             if (best.size < k || clb < best.peek()._1) frontier.add((clb, c))
           }
       }
@@ -47,6 +47,13 @@ final class ReferenceRtree private (segments: Array[Segment], root: ReferenceRtr
 
 object ReferenceRtree {
   private val Capacity = 16
+
+  /** Minimum distance from `p` to the box (0 if inside). */
+  private def minDist(m: MBR, p: XY): Double = {
+    val dx = if (p.x < m.minX) m.minX - p.x else if (p.x > m.maxX) p.x - m.maxX else 0.0
+    val dy = if (p.y < m.minY) m.minY - p.y else if (p.y > m.maxY) p.y - m.maxY else 0.0
+    math.hypot(dx, dy)
+  }
 
   sealed trait Node { def mbr: MBR }
   final case class Leaf(mbr: MBR, entries: Array[Int]) extends Node

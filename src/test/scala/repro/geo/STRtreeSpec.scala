@@ -65,14 +65,14 @@ class STRtreeSpec extends AnyFunSuite {
   }
 
   /** Asserts that `STRtree` and [[ReferenceRtree]] over `segs` return the
-    * same ids and the same distance bits for k = 1, 10 and 40 at every query
+    * same ids and the same distance bits for k = 1, 8, 10, 40 and 100 at every query
     * point; returns how many adjacent results tie on distance.
     */
   private def sameAsReference(segs: Array[Segment], queries: Seq[XY]): Int = {
     val tree = STRtree.build(segs)
     val ref = ReferenceRtree.build(segs)
     var ties = 0
-    for (k <- Seq(1, 10, 40); p <- queries) {
+    for (k <- Seq(1, 8, 10, 40, 100); p <- queries) {
       val got = tree.nearest(p, k)
       val want = ref.nearest(p, k)
       assert(got.ids.sameElements(want.ids), s"k=$k at $p: ids ${got.ids.toSeq} vs ${want.ids.toSeq}")
@@ -102,6 +102,22 @@ class STRtreeSpec extends AnyFunSuite {
   test("top-k equals the boxed reference on random segments") {
     val segs = randomSegments(700)
     sameAsReference(segs, Seq.fill(500)(XY(rnd.nextDouble() * 5000, rnd.nextDouble() * 5000)) ++ segs.map(_.a))
+  }
+
+  test("a segment nearer than the k-th best by a relative 1e-3 to 1e-15 still enters the top k") {
+    // Parallel segments 10 m and 10·(1 - g) m from the query: the nearer one
+    // must displace the farther one however small g is, so the squared-offset
+    // rejection may only drop candidates that are not nearer.
+    Seq(1e-3, 1e-6, 1e-8, 1e-9, 1e-10, 1e-12, 1e-14, 1e-15).foreach { g =>
+      val ys = Seq(10.0, 10.0 + 10 * g, 10.0 - 10 * g, 10.0 + 20 * g)
+      Seq(ys, ys.reverse).foreach { order =>
+        val segs = order.zipWithIndex.map { case (y, i) => Segment(i, 0, 1, XY(-5, y), XY(5, y), 10) }.toArray
+        val queries = Seq(XY(0, 20), XY(0, 0), XY(1, 20 + 3 * g))
+        sameAsReference(segs, queries)
+        val tree = STRtree.build(segs)
+        assert(tree.nearest(XY(0, 20), 1).ids.toSeq == Seq(order.indexOf(10.0 + 20 * g)), s"g=$g")
+      }
+    }
   }
 
   test("k larger than segment count returns all segments") {

@@ -120,6 +120,54 @@ class OpsKernelSpec extends AnyFunSuite {
     })
   }
 
+  // Pairs of rows free of zeros share one block (forward and dB); a row
+  // that holds a ±0.0 must not join one, since its skipped term can matter:
+  // -0.0 times ±Inf or NaN in B is NaN, and a dB entry of -0.0 plus +0.0 is
+  // +0.0. Rows come zero-free, with one ±0.0, or sparse, at m = 2 to 9 (odd
+  // m leaves a last row unpaired) and n around the 8- and 4-column blocks.
+  private val nonZero: Gen[Double] = Gen.frequency(
+    12 -> Gen.choose(-3.0, 3.0).map(x => if (x == 0.0) 1.0 else x),
+    1 -> Gen.oneOf(Double.PositiveInfinity, Double.NegativeInfinity, Double.NaN,
+      Double.MinPositiveValue, -1e300, 1e300, 40.0, -40.0))
+  private def zeroFreeRow(k: Int): Gen[List[Double]] = Gen.listOfN(k, nonZero)
+  private def oneZeroRow(k: Int): Gen[List[Double]] =
+    for (r <- zeroFreeRow(k); at <- Gen.choose(0, k - 1); z <- Gen.oneOf(0.0, -0.0)) yield r.updated(at, z)
+  private def mixedRow(k: Int): Gen[List[Double]] =
+    Gen.frequency(6 -> zeroFreeRow(k), 3 -> oneZeroRow(k), 1 -> Gen.listOfN(k, sparse))
+  private val withNonFinite: Gen[Double] = Gen.frequency(
+    8 -> value, 2 -> Gen.oneOf(Double.PositiveInfinity, Double.NegativeInfinity, Double.NaN))
+  private def pairedProduct(row: (Int, Int) => Gen[List[Double]]) = for {
+    m <- Gen.choose(2, 9); k <- Gen.choose(1, 40); n <- Gen.oneOf(7, 8, 9, 15, 16, 17, 31, 33)
+    rows <- Gen.sequence[List[List[Double]], List[Double]]((0 until m).map(i => row(i, k)))
+    b <- Gen.listOfN(k * n, withNonFinite); dy <- Gen.listOfN(m * n, withNonFinite)
+    db <- Gen.oneOf(Gen.const(List.fill(k * n)(-0.0)), Gen.listOfN(k * n, Gen.frequency(3 -> value, 2 -> Gen.const(-0.0))))
+  } yield (new Tensor(m, k, rows.flatten.toArray), new Tensor(k, n, b.toArray), dy.toArray, db.toArray)
+
+  Seq[(String, (Int, Int) => Gen[List[Double]])](
+    "rows free of zeros" -> ((_, k) => zeroFreeRow(k)),
+    "only the second row of each pair holding a ±0.0" -> ((i, k) => if (i % 2 == 1) oneZeroRow(k) else zeroFreeRow(k)),
+    "mixed rows" -> ((_, k) => mixedRow(k)),
+  ).foreach { case (name, row) =>
+    test(s"row-paired matmul kernels equal the plain loops bit for bit: $name") {
+      val product = pairedProduct(row)
+      check("forward")(Prop.forAllNoShrink(product) { case (a, b, _, _) =>
+        sameBits(Ops.matmul(a, b), ReferenceOps.matmul(a, b))
+      })
+      check("dB += A^T dY")(Prop.forAllNoShrink(product) { case (a, b, dy, db) =>
+        val got = db.clone(); val want = db.clone()
+        MatMul.addAtB(a.data, dy, got, a.rows, a.cols, b.cols)
+        ReferenceOps.matmulGradB(a, b, dy, want)
+        sameBits(new Tensor(b.rows, b.cols, got), new Tensor(b.rows, b.cols, want))
+      })
+      check("dA += dY B^T")(Prop.forAllNoShrink(product) { case (a, b, dy, _) =>
+        val got = new Array[Double](a.size); val want = new Array[Double](a.size)
+        MatMul.addABt(dy, b.data, got, a.rows, a.cols, b.cols)
+        ReferenceOps.matmulGradA(a, b, dy, want)
+        sameBits(new Tensor(a.rows, a.cols, got), new Tensor(a.rows, a.cols, want))
+      })
+    }
+  }
+
   test("matmul by a column equals the plain loop bit for bit, m = 0 to 9, finite or not") {
     // A finite column takes the four-row column kernel, which adds the
     // a(i, p) == 0 terms the plain loop skips; a column holding ±Inf or NaN

@@ -51,7 +51,7 @@ object ReferenceSeqRec {
         val seg = net.segments(found.ids(k))
         val d = found.dists(k)
         Array(math.exp(-d / 50.0), math.exp(-d / 150.0),
-          Geo.cosine(seg.dir, dir), seg.lengthM / maxLen)
+          Geo.cosine(seg.dir, seg.dir.norm, dir, dir.norm), seg.lengthM / maxLen)
       }
     }
   }
