@@ -3,51 +3,24 @@ package repro.jobs
 import org.apache.spark.sql.SparkSession
 import repro.eval.{Scale, Tables}
 
-/** Shared spark-submit bootstrap for the per-table jobs:
+/** spark-submit entry point for the paper's tables:
   *
-  *   spark-submit --class repro.jobs.TableIII repro.jar
+  *   spark-submit --class repro.jobs.JobMain repro.jar
   *
-  * Each job trains (or reuses this JVM's cached) models for all four cities
-  * at bench scale and prints the paper-style table; TSVs land under
-  * bench/results/.
+  * Trains every method on all four cities at bench scale once, then prints
+  * Tables II–V; TSVs land under bench/results/.
   */
 object JobMain {
-  def withSpark(f: SparkSession => Unit): Unit = {
+  def main(args: Array[String]): Unit = {
     val spark = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("trmma-repro")
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
-    try f(spark)
-    finally spark.stop()
-  }
-}
-
-/** Table II: dataset statistics of the four synthetic cities. */
-object TableII {
-  def main(args: Array[String]): Unit = JobMain.withSpark { spark =>
-    println(Tables.tableII(Tables.evalAll(spark, Scale.bench, Console.err.println)))
-  }
-}
-
-/** Table III: trajectory recovery effectiveness, 10 methods x 4 datasets. */
-object TableIII {
-  def main(args: Array[String]): Unit = JobMain.withSpark { spark =>
-    println(Tables.tableIII(Tables.evalAll(spark, Scale.bench, Console.err.println)))
-  }
-}
-
-/** Table IV: TRMMA ablation accuracies, 8 variants x 4 datasets. */
-object TableIV {
-  def main(args: Array[String]): Unit = JobMain.withSpark { spark =>
-    println(Tables.tableIV(Tables.evalAll(spark, Scale.bench, Console.err.println)))
-  }
-}
-
-/** Table V: map matching effectiveness, 7 methods x 4 datasets. */
-object TableV {
-  def main(args: Array[String]): Unit = JobMain.withSpark { spark =>
-    println(Tables.tableV(Tables.evalAll(spark, Scale.bench, Console.err.println)))
+    try {
+      val evs = Tables.evalAll(spark, Scale.bench, Console.err.println)
+      Seq(Tables.tableII(evs), Tables.tableIII(evs), Tables.tableIV(evs), Tables.tableV(evs)).foreach(println)
+    } finally spark.stop()
   }
 }

@@ -263,9 +263,6 @@ final class TrmmaModel(
       val hNext = gru(gruInput(prevSeg, prevR, j / lastT, s.slotFeat(j)), h)
       if (s.observed(j)) {
         prevSeg = s.denseSeg(j); prevR = s.denseR(j)
-        // `prepare`'s walk put this segment at its first route position at
-        // or after the gap's left anchor; no position decoded since is later.
-        prevPos = s.densePos(j)
         out(j) = MatchedPoint(prevSeg, prevR, denseT(j))
       } else {
         val lo = s.slotLo(j); val hi = s.slotHi(j)
@@ -273,6 +270,7 @@ final class TrmmaModel(
         val w = heads.classLogits(hNext, lo, hi, geo)
         // Order constraint (Eq. 17) extended with the gap's right anchor:
         // candidates from max(prev position, left anchor) to right anchor.
+        // A position decoded in an earlier gap is at most the left anchor.
         val best = lo + w.argmax(math.max(prevPos, lo) - lo, hi + 1 - lo)
         val r = heads.ratioHead(hNext, lo, hi, w, best - lo, geo).data(0)
         prevSeg = s.route(best); prevR = math.min(0.999999, r); prevPos = best

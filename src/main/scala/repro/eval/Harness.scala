@@ -11,7 +11,6 @@ import scala.collection.immutable.ListMap
 
 /** Experiment scale knobs. The bench defaults fit the full 4-city matrix in
   * tens of minutes on a 16-core box; `tiny` is used by integration tests.
-  * Override trajectories per city with REPRO_TRAJS.
   */
 final case class Scale(
     nTraj: Int,
@@ -24,10 +23,7 @@ final case class Scale(
 )
 
 object Scale {
-  val bench: Scale = {
-    val n = sys.env.get("REPRO_TRAJS").map(_.toInt).getOrElse(1200)
-    Scale(n, epMma = 10, epTrmma = 26, epSeq = 10, epFree = 8, epDeep = 12, epGraph = 4)
-  }
+  val bench: Scale = Scale(1200, epMma = 10, epTrmma = 26, epSeq = 10, epFree = 8, epDeep = 12, epGraph = 4)
   val tiny: Scale = Scale(220, epMma = 6, epTrmma = 12, epSeq = 4, epFree = 4, epDeep = 6, epGraph = 3)
 }
 

@@ -1,18 +1,15 @@
 package repro.geo
 
-/** Binary heap of (key, value) entries on two primitive arrays: a min-heap
-  * on the key, or a max-heap when `descending`. Its sift-up and sift-down
-  * are those of `java.util.PriorityQueue` ordered by
-  * `java.lang.Double.compare` on the key (reversed when `descending`), so
-  * entries with equal keys leave in the same order as they would from that
-  * queue.
+/** Binary min-heap of (key, value) entries on two primitive arrays. Its
+  * sift-up and sift-down are those of `java.util.PriorityQueue` ordered by
+  * `java.lang.Double.compare` on the key, so entries with equal keys leave
+  * in the same order as they would from that queue.
   *
   * Keys must be non-negative, never NaN and never -0.0 (every caller's key
   * is a `hypot`, an `|x|`, or a sum from 0.0 of lengths or costs). On such
-  * keys `<` and `>` order as `Double.compare` does, so the heap compares
-  * with them.
+  * keys `<` orders as `Double.compare` does, so the heap compares with it.
   */
-private[geo] final class Heap(descending: Boolean = false) {
+private[geo] final class Heap {
   private var keys = new Array[Double](64)
   private var values = new Array[Int](64)
   private var n = 0
@@ -26,9 +23,6 @@ private[geo] final class Heap(descending: Boolean = false) {
   /** The first entry's key; the heap must not be empty. */
   def peekKey: Double = keys(0)
 
-  /** Whether key `a` leaves strictly before key `b` in this heap's order. */
-  private def before(a: Double, b: Double): Boolean = if (descending) a > b else a < b
-
   def add(key: Double, value: Int): Unit = {
     if (n == keys.length) {
       keys = java.util.Arrays.copyOf(keys, 2 * n)
@@ -39,7 +33,7 @@ private[geo] final class Heap(descending: Boolean = false) {
     var moving = true
     while (moving && k > 0) {
       val parent = (k - 1) >>> 1
-      if (!before(key, keys(parent))) moving = false
+      if (!(key < keys(parent))) moving = false
       else { keys(k) = keys(parent); values(k) = values(parent); k = parent }
     }
     keys(k) = key; values(k) = value
@@ -58,8 +52,8 @@ private[geo] final class Heap(descending: Boolean = false) {
       while (moving && k < half) {
         var child = 2 * k + 1
         val right = child + 1
-        if (right < last && before(keys(right), keys(child))) child = right
-        if (!before(keys(child), key)) moving = false
+        if (right < last && keys(right) < keys(child)) child = right
+        if (!(keys(child) < key)) moving = false
         else { keys(k) = keys(child); values(k) = values(child); k = child }
       }
       keys(k) = key; values(k) = value

@@ -87,8 +87,4 @@ object RoutePlanner {
     }
     new RoutePlanner(net, counts.toMap, totals.toMap, beta = 30.0)
   }
-
-  /** A planner with no historical statistics — pure shortest path costs. */
-  def shortestPathOnly(net: RoadNetwork): RoutePlanner =
-    new RoutePlanner(net, Map.empty, Map.empty, beta = 0.0)
 }

@@ -10,9 +10,9 @@ final case class MBR(minX: Double, minY: Double, maxX: Double, maxY: Double) ext
   def centerY: Double = (minY + maxY) / 2
 }
 
-/** The `k` segments nearest to a point in ascending (distance, id) order,
-  * with their point-to-segment distances in metres: the candidate set C_{p_i}
-  * (paper Definition 8) and the distance every emission or proximity reads.
+/** The first `k` segments in (distance, id) order from a point, with their
+  * point-to-segment distances in metres: the candidate set C_{p_i} (paper
+  * Definition 8) and the distance every emission or proximity reads.
   */
 final case class Candidates(ids: Array[Int], dists: Array[Double])
 
@@ -37,36 +37,43 @@ final class STRtree private (
 ) extends Serializable {
   import STRtree.{boxOffset, cutFor, offsetNorm}
 
-  /** The `k` segments nearest to `p` by perpendicular (point-to-segment)
-    * distance, with those distances, ordered by `Double.compare` on the
-    * distance and then by id.
+  /** The first `k` segments in (distance, id) order from `p`, whose
+    * coordinates are finite, with their perpendicular (point-to-segment)
+    * distances: what sorting every segment by distance, then id, and taking
+    * `k` gives, ties included. A `k` above the number of segments returns
+    * them all.
     *
     * Distances are `math.hypot` of an (x, y) offset, as `Geo.pointSegDist`
     * forms them, and box lower bounds the `hypot` of the offset to the box.
-    * Once `best` holds k entries, a segment or child box whose squared
-    * offset is at least `(worst · Slack)²` is dropped without a `hypot`: the
-    * squared sum is within about 3 ulp of the true square and `hypot` within
-    * 1 ulp of the true norm, so that bound proves `hypot` would be at least
-    * the k-th best distance, which drops it too. Every other candidate is
-    * compared on its `hypot` as before, so results, visit order and `best`'s
-    * evictions are those of the plain search.
+    * The best so far are held in (distance, id) order in the result arrays;
+    * a segment enters when fewer than k are held or when it sorts before the
+    * last. Once k are held, a box whose lower bound is above the k-th
+    * distance is not expanded (one at exactly that distance may hold a
+    * smaller id), and a segment or child box whose squared offset is at
+    * least `(worst · Slack)²` is dropped without a `hypot`: the squared sum
+    * is within about 3 ulp of the true square and `hypot` within 1 ulp of
+    * the true norm, so that bound proves `hypot` would be strictly above the
+    * k-th distance.
     */
   def nearest(p: XY, k: Int): Candidates = {
     if (leaf.isEmpty || k <= 0) return Candidates(Array.emptyIntArray, Array.emptyDoubleArray)
     val px = p.x; val py = p.y
+    // Every segment is visited until m are held, so the arrays end full.
+    val m = math.min(k, ends.length / 4)
+    val ids = new Array[Int](m)
+    val dists = new Array[Double](m)
+    var n = 0
     // Frontier of tree nodes keyed by optimistic lower-bound distance.
     val frontier = new Heap
     frontier.add(boxDist(root, px, py), root)
-    // Max-heap of current best k (distance, segId) so the worst is peekable.
-    val best = new Heap(descending = true)
-    // Squared offsets at or above `cut` cannot beat the worst of a full
-    // `best`; NaN (no comparison holds) while `best` is not full.
+    // Squared offsets at or above `cut` sort after the m-th held entry;
+    // NaN (no comparison holds) while fewer than m are held.
     var cut = Double.NaN
     while (!frontier.isEmpty) {
       val lb = frontier.peekKey
       val node = frontier.poll()
-      if (best.size == k && lb >= best.peekKey) {
-        frontier.clear() // nothing remaining can beat the current k-th
+      if (n == m && lb > dists(m - 1)) {
+        frontier.clear() // nothing remaining can enter the first m
       } else if (leaf(node)) {
         val entries = items(node)
         var i = 0
@@ -78,8 +85,15 @@ final class STRtree private (
           val dx = px - (ax + (bx - ax) * t); val dy = py - (ay + (by - ay) * t)
           if (!(dx * dx + dy * dy >= cut)) {
             val d = math.hypot(dx, dy)
-            if (best.size < k) { best.add(d, sid); if (best.size == k) cut = cutFor(best.peekKey) }
-            else if (d < best.peekKey) { best.poll(); best.add(d, sid); cut = cutFor(best.peekKey) }
+            if (n < m || d < dists(m - 1) || d == dists(m - 1) && sid < ids(m - 1)) {
+              if (n < m) n += 1
+              var j = n - 1
+              while (j > 0 && (dists(j - 1) > d || dists(j - 1) == d && ids(j - 1) > sid)) {
+                dists(j) = dists(j - 1); ids(j) = ids(j - 1); j -= 1
+              }
+              dists(j) = d; ids(j) = sid
+              if (n == m) cut = cutFor(dists(m - 1))
+            }
           }
           i += 1
         }
@@ -92,27 +106,11 @@ final class STRtree private (
           val dy = boxOffset(py, boxes(4 * c + 1), boxes(4 * c + 3))
           if (!(dx * dx + dy * dy >= cut)) {
             val clb = offsetNorm(dx, dy)
-            if (best.size < k || clb < best.peekKey) frontier.add(clb, c)
+            if (n < m || clb <= dists(m - 1)) frontier.add(clb, c)
           }
           i += 1
         }
       }
-    }
-    // `best` leaves farthest first; equal distances then go in id order.
-    val m = best.size
-    val ids = new Array[Int](m)
-    val dists = new Array[Double](m)
-    var i = m - 1
-    while (i >= 0) { dists(i) = best.peekKey; ids(i) = best.poll(); i -= 1 }
-    i = 1
-    while (i < m) {
-      val d = dists(i); val id = ids(i)
-      var j = i - 1
-      while (j >= 0 && java.lang.Double.compare(dists(j), d) == 0 && ids(j) > id) {
-        dists(j + 1) = dists(j); ids(j + 1) = ids(j); j -= 1
-      }
-      dists(j + 1) = d; ids(j + 1) = id
-      i += 1
     }
     Candidates(ids, dists)
   }
@@ -130,9 +128,9 @@ object STRtree {
     */
   private final val Slack = 1 + 1e-9
 
-  /** The squared offset at or above which a candidate cannot beat `worst`:
-    * `(worst · Slack)²` when that is a finite normal number, else NaN, so
-    * that every candidate goes through `hypot`.
+  /** The squared offset at or above which a candidate is strictly farther
+    * than `worst`: `(worst · Slack)²` when that is a finite normal number,
+    * else NaN, so that every candidate goes through `hypot`.
     */
   private def cutFor(worst: Double): Double = {
     val w = worst * Slack

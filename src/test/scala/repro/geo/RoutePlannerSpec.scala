@@ -57,13 +57,13 @@ class RoutePlannerSpec extends AnyFunSuite {
   }
 
   test("shortestPathOnly planner still finds valid routes") {
-    val sp = RoutePlanner.shortestPathOnly(net)
+    val sp = new RoutePlanner(net, Map.empty, Map.empty, beta = 0.0)
     val path = sp.plan(0, net.numSegments - 1)
     assert(path.nonEmpty && path.last == net.numSegments - 1)
   }
 
   test("plan jumps straight to an unreachable target") {
-    val p = RoutePlanner.shortestPathOnly(TestWorld.oneWayDeadEnd)
+    val p = new RoutePlanner(TestWorld.oneWayDeadEnd, Map.empty, Map.empty, beta = 0.0)
     assert(p.plan(0, 2) == List(2))
     assert(p.plan(2, 0) == List(0))
     assert(p.plan(2, 1) == List(1))

@@ -14,29 +14,29 @@ class STRtreeSpec extends AnyFunSuite {
       Segment(i, 0, 0, a, b, a.dist(b))
     }
 
-  private def bruteTopK(segs: Array[Segment], p: XY, k: Int): Array[Int] =
-    segs.map(s => (Geo.pointSegDist(p, s.a, s.b), s.id)).sortBy(e => (e._1, e._2)).take(k).map(_._2)
+  /** The first k segments sorted by `Double.compare` on their distance
+    * from `p`, then by id: what `nearest(p, k)` must return.
+    */
+  private def bruteTopK(segs: Array[Segment], p: XY, k: Int): Candidates = {
+    val first = segs.map(s => (Geo.pointSegDist(p, s.a, s.b), s.id)).sortBy(e => (e._1, e._2)).take(k)
+    Candidates(first.map(_._2), first.map(_._1))
+  }
 
   test("top-1 matches brute force on 500 random queries") {
     val segs = randomSegments(400)
     val tree = STRtree.build(segs)
     (1 to 500).foreach { _ =>
       val p = XY(rnd.nextDouble() * 5000, rnd.nextDouble() * 5000)
-      assert(tree.nearest(p, 1).ids.toSeq == bruteTopK(segs, p, 1).toSeq)
+      assert(tree.nearest(p, 1).ids.toSeq == bruteTopK(segs, p, 1).ids.toSeq)
     }
   }
 
-  test("top-10 matches brute force (distance multiset) on 200 random queries") {
+  test("top-10 matches brute force on 200 random queries") {
     val segs = randomSegments(700)
     val tree = STRtree.build(segs)
     (1 to 200).foreach { _ =>
       val p = XY(rnd.nextDouble() * 5000, rnd.nextDouble() * 5000)
-      val got = tree.nearest(p, 10)
-      val exp = bruteTopK(segs, p, 10)
-      // Ties may be ordered differently; compare the distance sequences.
-      val gd = got.dists.toSeq
-      val ed = exp.map(sid => Geo.pointSegDist(p, segs(sid).a, segs(sid).b)).toSeq
-      assert(gd.zip(ed).forall { case (a, b) => math.abs(a - b) < 1e-9 }, s"$gd vs $ed")
+      assert(tree.nearest(p, 10).ids.toSeq == bruteTopK(segs, p, 10).ids.toSeq)
     }
   }
 
@@ -64,26 +64,29 @@ class STRtreeSpec extends AnyFunSuite {
     }
   }
 
-  /** Asserts that `STRtree` and [[ReferenceRtree]] over `segs` return the
-    * same ids and the same distance bits for k = 1, 8, 10, 40 and 100 at every query
-    * point; returns how many adjacent results tie on distance.
+  /** Asserts that `STRtree` over `segs` returns [[bruteTopK]]'s ids and
+    * distance bits for every k in `ks` at every query point; returns how
+    * many adjacent results tie on distance.
     */
-  private def sameAsReference(segs: Array[Segment], queries: Seq[XY]): Int = {
+  private def sameAsBruteForce(segs: Array[Segment], queries: Seq[XY],
+      ks: Seq[Int] = Seq(1, 8, 10, 40, 64, 100)): Int = {
     val tree = STRtree.build(segs)
-    val ref = ReferenceRtree.build(segs)
     var ties = 0
-    for (k <- Seq(1, 8, 10, 40, 100); p <- queries) {
-      val got = tree.nearest(p, k)
-      val want = ref.nearest(p, k)
-      assert(got.ids.sameElements(want.ids), s"k=$k at $p: ids ${got.ids.toSeq} vs ${want.ids.toSeq}")
-      assert(got.dists.map(java.lang.Double.doubleToLongBits).sameElements(
-        want.dists.map(java.lang.Double.doubleToLongBits)), s"k=$k at $p: distances")
-      ties += (1 until want.dists.length).count(i => want.dists(i) == want.dists(i - 1))
+    for (p <- queries) {
+      val all = bruteTopK(segs, p, ks.max)
+      for (k <- ks) {
+        val got = tree.nearest(p, k)
+        val want = Candidates(all.ids.take(k), all.dists.take(k))
+        assert(got.ids.sameElements(want.ids), s"k=$k at $p: ids ${got.ids.toSeq} vs ${want.ids.toSeq}")
+        assert(got.dists.map(java.lang.Double.doubleToLongBits).sameElements(
+          want.dists.map(java.lang.Double.doubleToLongBits)), s"k=$k at $p: distances")
+        ties += (1 until want.dists.length).count(i => want.dists(i) == want.dists(i - 1))
+      }
     }
     ties
   }
 
-  test("top-k equals the boxed reference on the XA and BJ networks, ties included") {
+  test("top-k equals the brute-force sort on the XA and BJ networks, ties included") {
     // Two-way roads are two segments over one line, and segments meet at
     // shared nodes, so equal distances are everywhere: at nodes, on
     // segments and off the network.
@@ -94,14 +97,14 @@ class STRtreeSpec extends AnyFunSuite {
       val offNet = Seq.fill(600)(XY(xs.min - 200 + rnd.nextDouble() * (xs.max - xs.min + 400),
         ys.min - 200 + rnd.nextDouble() * (ys.max - ys.min + 400)))
       val onNet = net.segments.toSeq.filter(_ => rnd.nextInt(4) == 0).map(s => Geo.lerp(s.a, s.b, rnd.nextDouble()))
-      val ties = sameAsReference(net.segments, offNet ++ net.nodes ++ onNet)
+      val ties = sameAsBruteForce(net.segments, offNet ++ net.nodes ++ onNet)
       assert(ties > 1000, s"$city: only $ties ties")
     }
   }
 
-  test("top-k equals the boxed reference on random segments") {
+  test("top-k equals the brute-force sort on random segments") {
     val segs = randomSegments(700)
-    sameAsReference(segs, Seq.fill(500)(XY(rnd.nextDouble() * 5000, rnd.nextDouble() * 5000)) ++ segs.map(_.a))
+    sameAsBruteForce(segs, Seq.fill(500)(XY(rnd.nextDouble() * 5000, rnd.nextDouble() * 5000)) ++ segs.map(_.a))
   }
 
   test("a segment nearer than the k-th best by a relative 1e-3 to 1e-15 still enters the top k") {
@@ -113,11 +116,26 @@ class STRtreeSpec extends AnyFunSuite {
       Seq(ys, ys.reverse).foreach { order =>
         val segs = order.zipWithIndex.map { case (y, i) => Segment(i, 0, 1, XY(-5, y), XY(5, y), 10) }.toArray
         val queries = Seq(XY(0, 20), XY(0, 0), XY(1, 20 + 3 * g))
-        sameAsReference(segs, queries)
+        sameAsBruteForce(segs, queries)
         val tree = STRtree.build(segs)
         assert(tree.nearest(XY(0, 20), 1).ids.toSeq == Seq(order.indexOf(10.0 + 20 * g)), s"g=$g")
       }
     }
+  }
+
+  test("ties at the k-th distance go to the smallest ids, also in a branch expanded after the first k are full") {
+    // 300 segments from (0, 10) rightwards, the smallest ids reaching
+    // farthest right (so packed into the rightmost leaves), and 16 from the
+    // y axis leftwards, 8 at y = -5 and 8 at y = 10 (packed into one leaf).
+    // From the origin the leftward leaf is searched first and fills the
+    // first k with ids 300 and up; every rightward segment and box is at
+    // exactly the k-th distance 10 but holds a smaller id.
+    val right = Array.tabulate(300)(i => Segment(i, 0, 1, XY(0, 10), XY(10.0 * (301 - i), 10), 10.0 * (301 - i)))
+    val left = Array.tabulate(16) { i =>
+      val y = if (i < 8) -5.0 else 10.0
+      Segment(300 + i, 0, 1, XY(0, y), XY(-10.0 * (i + 1), y), 10.0 * (i + 1))
+    }
+    sameAsBruteForce(right ++ left, Seq(XY(0, 0)), Seq(1, 8, 9, 10, 24, 40))
   }
 
   test("k larger than segment count returns all segments") {

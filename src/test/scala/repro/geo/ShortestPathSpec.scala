@@ -166,7 +166,7 @@ class ShortestPathSpec extends AnyFunSuite {
     val routes = Seq.fill(60)(ReferenceSearch.nodePathSegments(flat,
       rnd.nextInt(flat.numNodes), rnd.nextInt(flat.numNodes)).get)
     // The planners' costs as the reference computes them (fit's beta is 30).
-    val sp = RoutePlanner.shortestPathOnly(flat)
+    val sp = new RoutePlanner(flat, Map.empty, Map.empty, beta = 0.0)
     val fitted = RoutePlanner.fit(flat, routes)
     val planners = Seq[(RoutePlanner, (Int, Int) => Double)](
       sp -> ((c, n) => flat.segments(n).lengthM + 0.0 * sp.negLogProb(c, n)),
