@@ -1,6 +1,7 @@
 package repro.core
 
-import repro.geo.{RoadNetwork, ShortestPath}
+import repro.geo.RoadNetwork
+import repro.mm.Lattice
 import repro.nn._
 import repro.traj.{SparseFrame, Traj}
 import scala.util.Random
@@ -83,30 +84,17 @@ final class MmaModel(
   def prepare(t: Traj, withLabels: Boolean): MmaSample = {
     val l = t.sparse.length
     val pts = t.sparse.map(_.xy)
-    // Candidates come back nearest first, so dists(i)(0) is the least.
-    val found = pts.map(net.candidates(_, cfg.kc))
-    val cands = found.map(_.ids)
-    val dists = found.map(_.dists)
     // Transition-plausibility features (road-network context, Section IV-B):
     // how consistent each candidate is with the nearest candidates of the
     // neighbouring points, measured as |network travel distance - straight
-    // line| (the same signal an HMM's transition uses, here consumed as a
-    // learned per-candidate feature).
-    // Bounded Dijkstra tables: netDist(i)(j)(k) is the network distance
-    // from the exit node of cands(i)(j) to the entrance node of
-    // cands(i + 1)(k), one search per distinct exit node, stopped once those
-    // entrances are settled (amortises the otherwise quadratic per-pair A*
-    // cost of the transition features).
+    // line| on the candidate lattice an HMM's Viterbi reads, here consumed as
+    // a learned per-candidate feature; a travel distance past the lattice's
+    // bound scores near zero at both decay scales below.
     val maxGap = (1 until l).map(i => pts(i).dist(pts(i - 1))).foldLeft(500.0)(math.max)
-    val bound = maxGap * 2.5 + 1500
-    val netDist: Array[Array[Array[Double]]] = Array.tabulate(l - 1) { i =>
-      val entrances = cands(i + 1).map(sid => net.segments(sid).from)
-      val exits = cands(i).map(sid => net.segments(sid).to)
-      val fromExit = exits.distinct.map(node => node -> ShortestPath.dijkstraTo(net, node, bound, entrances)).toMap
-      exits.map(fromExit)
-    }
-    // Projection ratio and emission weight of every candidate of every point.
-    val ratio = Array.tabulate(l)(i => cands(i).map(net.projectRatio(pts(i), _)))
+    val lat = new Lattice(net, t, cfg.kc, maxGap * 2.5 + 1500)
+    // Candidates come back nearest first, so dists(i)(0) is the least.
+    val (cands, dists) = (lat.ids, lat.dists)
+    // Emission weight of every candidate of every point.
     val wEmit = dists.map(_.map(dEmit => math.exp(-dEmit * dEmit / (2 * 10.0 * 10.0)) + 1e-6))
     // Plausibility of candidate j of point i vs neighbour point iNb:
     // expected transition consistency over the neighbour's candidates,
@@ -114,13 +102,11 @@ final class MmaModel(
     // message), at two decay scales.
     def plaus(iNb: Int, i: Int, j: Int, forward: Boolean): (Double, Double) = {
       val gc = pts(iNb).dist(pts(i))
-      val sid = cands(i)(j); val rSid = ratio(i)(j)
       var wSum = 0.0; var f60 = 0.0; var f200 = 0.0
       var k = 0
       while (k < cands(iNb).length) {
-        val sf = cands(iNb)(k); val rf = ratio(iNb)(k); val wNb = wEmit(iNb)(k)
-        val d = if (forward) ShortestPath.directedDist(net, sf, rf, sid, rSid, netDist(iNb)(k)(j))
-                else ShortestPath.directedDist(net, sid, rSid, sf, rf, netDist(i)(j)(k))
+        val wNb = wEmit(iNb)(k)
+        val d = if (forward) lat.travel(iNb, k, j) else lat.travel(i, j, k)
         val diff = math.abs(d - gc)
         wSum += wNb
         // Gap-adaptive decay scales: a 100 m detour matters on a 500 m gap

@@ -2,12 +2,12 @@ package repro.geo
 
 import scala.collection.mutable
 
-/** Shortest-path queries over a [[RoadNetwork]]: node-level Dijkstra,
-  * point-to-point A*, segment-graph routes for the planner, and the
-  * road-network distance between two map-matched points used by the HMM
-  * transitions and the MAE/RMSE recovery metrics. All of them run the one
-  * best-first search `search`, on the node graph (arcs are segments) or on
-  * the segment graph (arcs are successor segments).
+/** Shortest-path queries over a [[RoadNetwork]]: node-level Dijkstra to a
+  * set of targets, point-to-point A*, segment-graph routes for the planner,
+  * and the road-network distance between two map-matched points used by the
+  * MAE/RMSE recovery metrics. All of them run the one best-first search
+  * `search`, on the node graph (arcs are segments) or on the segment graph
+  * (arcs are successor segments).
   */
 object ShortestPath {
 
@@ -127,16 +127,9 @@ object ShortestPath {
     search(net.numNodes, src, net.outSegments, net.outHeads, net.outLengths, targets, bound,
       net.nodes, goal)(read)
 
-  /** Node-level Dijkstra from `src`; nodes farther than `maxDist` are not
-    * expanded, so their successors keep a tentative distance and nodes
-    * beyond those keep +inf. O((m + n) log n).
-    */
-  def dijkstra(net: RoadNetwork, src: Int, maxDist: Double = Inf): Array[Double] =
-    nodeSearch(net, src, Array.emptyIntArray, maxDist)(_.dist.clone())
-
-  /** `dijkstra(net, src, maxDist)` read at `targets` (in their order), from
-    * a search that stops once every target is settled: bit for bit the same
-    * values, exact, tentative or +inf.
+  /** Node-level Dijkstra from `src` read at `targets` (in their order), stopped
+    * once all are settled. Nodes past `maxDist` are not expanded: a target is
+    * exact within it, tentative one segment past it, and +inf beyond.
     */
   def dijkstraTo(net: RoadNetwork, src: Int, maxDist: Double, targets: Array[Int]): Array[Double] =
     nodeSearch(net, src, targets, maxDist)(s => targets.map(s.dist(_)))
@@ -169,26 +162,21 @@ object ShortestPath {
   /** Directed travel distance from point (segA, rA) to point (segB, rB)
     * along the network — the HMM transition distance (a wrong-direction
     * candidate forces a costly loop, the signal that disambiguates direction).
-    * `nodeDist`, from segA's exit to segB's entrance, is read only if needed.
+    * `nodeDist` is the distance from segA's exit to segB's entrance.
     */
-  def directedDist(net: RoadNetwork, segA: Int, rA: Double, segB: Int, rB: Double, nodeDist: => Double): Double = {
+  def directedDist(net: RoadNetwork, segA: Int, rA: Double, segB: Int, rB: Double, nodeDist: Double): Double = {
     val sa = net.segments(segA)
     if (segA == segB && rB >= rA) (rB - rA) * sa.lengthM
     else (1 - rA) * sa.lengthM + nodeDist + rB * net.segments(segB).lengthM
   }
 
-  /** Memoising node-to-node distance helper for metric computation. One
-    * instance per evaluation task; NOT thread-safe.
+  /** Memoising road-network distance between map-matched points, for the
+    * recovery metrics. One instance per evaluation task; NOT thread-safe.
     */
   final class DistCache(net: RoadNetwork) {
     private val cache = mutable.LongMap.empty[Double]
-    def nodeDist(a: Int, b: Int): Double =
+    private def nodeDist(a: Int, b: Int): Double =
       cache.getOrElseUpdate(Geo.pairKey(a, b), aStar(net, a, b))
-
-    /** [[ShortestPath.directedDist]], with A* run only when it is needed. */
-    def directedDist(segA: Int, rA: Double, segB: Int, rB: Double): Double =
-      ShortestPath.directedDist(net, segA, rA, segB, rB,
-        nodeDist(net.segments(segA).to, net.segments(segB).from))
 
     /** Road-network distance between map-matched points (segA, rA) and
       * (segB, rB): the shorter directed travel distance of A->B and B->A.
@@ -198,7 +186,9 @@ object ShortestPath {
       */
     def matchedDist(segA: Int, rA: Double, segB: Int, rB: Double): Double = {
       if (segA == segB) return math.abs(rA - rB) * net.segments(segA).lengthM
-      val d = math.min(directedDist(segA, rA, segB, rB), directedDist(segB, rB, segA, rA))
+      val (a, b) = (net.segments(segA), net.segments(segB))
+      val d = math.min(directedDist(net, segA, rA, segB, rB, nodeDist(a.to, b.from)),
+        directedDist(net, segB, rB, segA, rA, nodeDist(b.to, a.from)))
       if (d.isInfinite) net.pointAt(segA, rA).dist(net.pointAt(segB, rB)) else d
     }
   }

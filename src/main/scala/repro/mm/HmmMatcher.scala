@@ -1,6 +1,6 @@
 package repro.mm
 
-import repro.geo.{RoadNetwork, RoutePlanner, ShortestPath}
+import repro.geo.{RoadNetwork, RoutePlanner}
 import repro.traj.Traj
 
 /** FMM-style HMM map matching (paper ref [28], after Newson & Krumm).
@@ -31,24 +31,21 @@ object HmmMatcher {
   /** Transition scale (m) of |network distance - straight-line distance|. */
   private final val BetaM = 120.0
 
-  /** Newson–Krumm Viterbi over each point's top-`K` candidate segments:
-    * Gaussian emission in the perpendicular distance `d` plus
-    * `emitBonus(i, sid, d)`, transitions exponential in |directed network
-    * distance - straight-line distance|. Returns the decoded segment of every
-    * sparse point.
+  /** Newson–Krumm Viterbi over the [[Lattice]] of each point's top-`K`
+    * candidate segments, its searches unbounded: Gaussian emission in the
+    * perpendicular distance `d` plus `emitBonus(i, sid, d)`, transitions
+    * exponential in |directed network distance - straight-line distance|.
+    * Returns the decoded segment of every sparse point.
     */
   private[mm] def viterbi(net: RoadNetwork, t: Traj, emitBonus: (Int, Int, Double) => Double): Array[Int] = {
-    val cache = new ShortestPath.DistCache(net)
-    val pts = t.sparse.map(_.xy)
-    val found = pts.map(net.candidates(_, K))
-    val cands = found.map(_.ids)
+    val lat = new Lattice(net, t, K, Double.PositiveInfinity)
+    val (pts, cands) = (lat.pts, lat.ids)
     val emit = Array.tabulate(pts.length) { i =>
       Array.tabulate(cands(i).length) { j =>
-        val d = found(i).dists(j)
+        val d = lat.dists(i)(j)
         -d * d / (2 * SigmaM * SigmaM) + emitBonus(i, cands(i)(j), d)
       }
     }
-    val ratio = Array.tabulate(pts.length)(i => cands(i).map(net.projectRatio(pts(i), _)))
     val score = Array.tabulate(pts.length)(i => new Array[Double](cands(i).length))
     val back = Array.tabulate(pts.length)(i => new Array[Int](cands(i).length))
     score(0) = emit(0).clone()
@@ -57,14 +54,11 @@ object HmmMatcher {
       val gc = pts(i - 1).dist(pts(i))
       var j = 0
       while (j < cands(i).length) {
-        val sj = cands(i)(j)
-        val rj = ratio(i)(j)
         var best = Double.NegativeInfinity
         var bestK = 0
         var kk = 0
         while (kk < cands(i - 1).length) {
-          val sk = cands(i - 1)(kk)
-          val s = score(i - 1)(kk) - math.abs(cache.directedDist(sk, ratio(i - 1)(kk), sj, rj) - gc) / BetaM
+          val s = score(i - 1)(kk) - math.abs(lat.travel(i - 1, kk, j) - gc) / BetaM
           if (s > best) { best = s; bestK = kk }
           kk += 1
         }

@@ -22,14 +22,18 @@ class ShortestPathSpec extends AnyFunSuite {
 
   private lazy val fw = floydWarshall(net)
 
+  /** The whole bounded Dijkstra table: a search whose targets are all nodes. */
+  private def dijkstra(n: RoadNetwork, src: Int, maxDist: Double = Double.PositiveInfinity): Array[Double] =
+    ShortestPath.dijkstraTo(n, src, maxDist, Array.range(0, n.numNodes))
+
   test("network is strongly connected (generator invariant)") {
-    val d = ShortestPath.dijkstra(net, 0)
+    val d = dijkstra(net, 0)
     assert(d.forall(_.isFinite))
   }
 
   test("dijkstra matches Floyd-Warshall from several sources") {
     Seq(0, 5, net.numNodes / 2, net.numNodes - 1).foreach { src =>
-      val d = ShortestPath.dijkstra(net, src)
+      val d = dijkstra(net, src)
       (0 until net.numNodes).foreach { v =>
         assert(math.abs(d(v) - fw(src)(v)) < 1e-6, s"src=$src v=$v")
       }
@@ -54,7 +58,7 @@ class ShortestPathSpec extends AnyFunSuite {
   test("bounded dijkstra: exact within the bound, tentative one segment past it, +inf beyond") {
     val bound = 400.0
     Seq(0, net.numNodes / 2).foreach { src =>
-      val d = ShortestPath.dijkstra(net, src, maxDist = bound)
+      val d = dijkstra(net, src, maxDist = bound)
       val expanded = (0 until net.numNodes).filter(fw(src)(_) <= bound).toSet
       val tentative = Array.fill(net.numNodes)(Double.PositiveInfinity)
       net.segments.filter(s => expanded(s.from)).foreach { s =>
@@ -125,7 +129,7 @@ class ShortestPathSpec extends AnyFunSuite {
     }
   }
 
-  test("dijkstraTo equals the full bounded dijkstra at every target, bit for bit") {
+  test("dijkstraTo equals ReferenceSearch.dijkstra at every target, bit for bit") {
     val rnd = new Random(23)
     val seen = scala.collection.mutable.Set.empty[String]
     (1 to 300).foreach { _ =>
@@ -134,7 +138,7 @@ class ShortestPathSpec extends AnyFunSuite {
       val drawn = Array.fill(1 + rnd.nextInt(5))(rnd.nextInt(net.numNodes))
       // Duplicate targets, and sometimes the source itself.
       val targets = drawn ++ drawn.take(1) ++ (if (rnd.nextInt(4) == 0) Array(src) else Array.empty[Int])
-      val full = ShortestPath.dijkstra(net, src, maxDist = bound)
+      val full = ReferenceSearch.dijkstra(net, src, maxDist = bound)
       val got = ShortestPath.dijkstraTo(net, src, bound, targets)
       targets.indices.foreach { i =>
         val v = targets(i)
@@ -151,7 +155,7 @@ class ShortestPathSpec extends AnyFunSuite {
     Seq(0, 1, 2).foreach { src =>
       val targets = Array(2, 0, 1, 2)
       val got = ShortestPath.dijkstraTo(oneWay, src, Double.PositiveInfinity, targets)
-      val full = ShortestPath.dijkstra(oneWay, src)
+      val full = ReferenceSearch.dijkstra(oneWay, src)
       assert(got.toSeq == targets.toSeq.map(full(_)), s"src=$src")
     }
     assert(ShortestPath.dijkstraTo(oneWay, 2, Double.PositiveInfinity, Array(0, 1)).forall(_.isPosInfinity))
@@ -175,7 +179,7 @@ class ShortestPathSpec extends AnyFunSuite {
       val a = rnd.nextInt(flat.numNodes); val b = rnd.nextInt(flat.numNodes)
       assert(ShortestPath.nodePathSegments(flat, a, b) == ReferenceSearch.nodePathSegments(flat, a, b), s"$a->$b")
       val bound = 300 + 600 * rnd.nextDouble()
-      assert(ShortestPath.dijkstra(flat, a, bound).toSeq == ReferenceSearch.dijkstra(flat, a, bound).toSeq)
+      assert(dijkstra(flat, a, bound).toSeq == ReferenceSearch.dijkstra(flat, a, bound).toSeq)
       val sa = rnd.nextInt(flat.numSegments); val sb = rnd.nextInt(flat.numSegments)
       planners.foreach { case (p, cost) =>
         assert(p.plan(sa, sb) == ReferenceSearch.segmentSearch(flat, sa, sb, cost).getOrElse(List(sb)), s"$sa->$sb")
@@ -221,9 +225,9 @@ class ShortestPathSpec extends AnyFunSuite {
       val a = rnd.nextInt(n.numNodes); val b = rnd.nextInt(n.numNodes)
       val bound = 100 + 600 * rnd.nextDouble()
       rnd.nextInt(6) match {
-        case 0 => Query(s"${n.name} dijkstra $a", () => scribbled(ShortestPath.dijkstra(n, a)),
+        case 0 => Query(s"${n.name} dijkstra $a", () => scribbled(dijkstra(n, a)),
             () => bits(ReferenceSearch.dijkstra(n, a)))
-        case 1 => Query(s"${n.name} boundedDijkstra $a $bound", () => scribbled(ShortestPath.dijkstra(n, a, bound)),
+        case 1 => Query(s"${n.name} boundedDijkstra $a $bound", () => scribbled(dijkstra(n, a, bound)),
             () => bits(ReferenceSearch.dijkstra(n, a, bound)))
         case 2 =>
           val drawn = Array.fill(1 + rnd.nextInt(4))(rnd.nextInt(n.numNodes))
@@ -254,16 +258,16 @@ class ShortestPathSpec extends AnyFunSuite {
   }
 
   test("writing into the array dijkstra returned does not change the next query") {
-    val first = ShortestPath.dijkstra(net, 5, maxDist = 500)
+    val first = dijkstra(net, 5, maxDist = 500)
     java.util.Arrays.fill(first, 0.0)
-    assert(bits(ShortestPath.dijkstra(net, 5, maxDist = 500)) == bits(ReferenceSearch.dijkstra(net, 5, 500)))
+    assert(bits(dijkstra(net, 5, maxDist = 500)) == bits(ReferenceSearch.dijkstra(net, 5, 500)))
     assert(bits(ShortestPath.dijkstraTo(net, 5, 500, Array(0, 7))) ==
       bits(Array(0, 7).map(ReferenceSearch.dijkstra(net, 5, 500)(_))))
   }
 
   test("a query that fails on a bad target leaves the next query unaffected") {
     intercept[IndexOutOfBoundsException](ShortestPath.dijkstraTo(net, 0, 500, Array(3, net.numNodes, 4)))
-    assert(bits(ShortestPath.dijkstra(net, 0)) == bits(ReferenceSearch.dijkstra(net, 0)))
+    assert(bits(dijkstra(net, 0)) == bits(ReferenceSearch.dijkstra(net, 0)))
   }
 
   test("four threads running the same queries at once each get the sequential answers") {
