@@ -28,13 +28,18 @@ final case class Segment(
   *
   * Nodes are intersections; segments are directed edges with geometry. The
   * whole structure is immutable and Serializable so it can be broadcast to
-  * executors once and shared by every trajectory task.
+  * executors once and shared by every trajectory task. No segment is
+  * shorter than the chord between its nodes, which `ShortestPath`'s
+  * goal-directed searches rely on.
   */
 final class RoadNetwork(
     val name: String,
     val nodes: Array[XY],
     val segments: Array[Segment],
 ) extends Serializable {
+
+  segments.foreach(s => require(s.lengthM >= nodes(s.from).dist(nodes(s.to)),
+    s"$name: segment ${s.id} is ${s.lengthM} m long, shorter than the chord between nodes ${s.from} and ${s.to}"))
 
   val numNodes: Int = nodes.length
   val numSegments: Int = segments.length
@@ -65,6 +70,11 @@ final class RoadNetwork(
     */
   private[geo] val outHeads: Array[Array[Int]] = outSegments.map(_.map(segments(_).to))
   private[geo] val outLengths: Array[Array[Double]] = outSegments.map(_.map(segments(_).lengthM))
+
+  /** The exit node's position of each segment: where the segment graph's
+    * searches measure their heuristic.
+    */
+  private[geo] val exitPositions: Array[XY] = segments.map(s => nodes(s.to))
 
   /** `nextSegments` of every segment, computed once. */
   private[geo] val successors: Array[Array[Int]] = Array.tabulate(numSegments) { segId =>

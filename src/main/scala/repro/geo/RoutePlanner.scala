@@ -26,6 +26,10 @@ final class RoutePlanner(
     beta: Double,
 ) extends Serializable {
 
+  // The planning costs must stay at least each segment's length, as the
+  // goal-directed segment search requires.
+  require(beta >= 0, s"RoutePlanner: beta must be non-negative, got $beta")
+
   /** -log of smoothed P(next | cur). */
   def negLogProb(cur: Int, next: Int): Double = {
     val deg = math.max(1, net.nextSegments(cur).length)

@@ -64,7 +64,8 @@ final class STRtree private (
     val dists = new Array[Double](m)
     var n = 0
     // Frontier of tree nodes keyed by optimistic lower-bound distance.
-    val frontier = new Heap
+    val frontier = STRtree.frontiers.get
+    frontier.clear()
     frontier.add(boxDist(root, px, py), root)
     // Squared offsets at or above `cut` sort after the m-th held entry;
     // NaN (no comparison holds) while fewer than m are held.
@@ -122,6 +123,11 @@ final class STRtree private (
 
 object STRtree {
   private val Capacity = 16
+
+  /** This thread's `nearest` frontier, reused by every query; a query
+    * clears it first.
+    */
+  private val frontiers = ThreadLocal.withInitial[Heap](() => new Heap)
 
   /** Relative margin of the squared-offset rejection in `nearest`; the
     * rounding it covers is about 1e-15.

@@ -62,6 +62,10 @@ class RoutePlannerSpec extends AnyFunSuite {
     assert(path.nonEmpty && path.last == net.numSegments - 1)
   }
 
+  test("a negative beta is rejected") {
+    intercept[IllegalArgumentException](new RoutePlanner(net, Map.empty, Map.empty, beta = -1.0))
+  }
+
   test("plan jumps straight to an unreachable target") {
     val p = new RoutePlanner(TestWorld.oneWayDeadEnd, Map.empty, Map.empty, beta = 0.0)
     assert(p.plan(0, 2) == List(2))

@@ -1,5 +1,6 @@
 package repro.geo
 
+import java.util.concurrent.{Callable, CountDownLatch, Executors, TimeUnit}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.traj.Datasets
 import scala.util.Random
@@ -157,5 +158,31 @@ class STRtreeSpec extends AnyFunSuite {
     val c = tree.nearest(XY(5, 3), 3)
     assert(c.ids.toSeq == Seq(0))
     assert(math.abs(c.dists(0) - 3.0) < 1e-12)
+  }
+
+  test("four threads querying two trees at once each get the brute-force answers") {
+    // Every query on a thread reuses that thread's frontier heap, whichever
+    // tree it searches.
+    val nets = Seq("XA", "BJ").map(Datasets(_).net)
+    val trees = nets.map(n => STRtree.build(n.segments))
+    val rnd = new Random(19)
+    val queries = IndexedSeq.fill(400) {
+      val i = rnd.nextInt(nets.length); val n = nets(i)
+      (i, XY(n.minX + rnd.nextDouble() * (n.maxX - n.minX), n.minY + rnd.nextDouble() * (n.maxY - n.minY)),
+        Seq(1, 10, 40, 64)(rnd.nextInt(4)))
+    }
+    def bits(c: Candidates): (Seq[Int], Seq[Long]) = (c.ids.toSeq, c.dists.toSeq.map(java.lang.Double.doubleToRawLongBits))
+    def answers(): IndexedSeq[(Seq[Int], Seq[Long])] = queries.map { case (i, p, k) => bits(trees(i).nearest(p, k)) }
+    val want = queries.map { case (i, p, k) => bits(bruteTopK(nets(i).segments, p, k)) }
+    assert(answers() == want)
+    val pool = Executors.newFixedThreadPool(4)
+    try {
+      val start = new CountDownLatch(1)
+      val futures = (1 to 4).map(_ => pool.submit(new Callable[IndexedSeq[(Seq[Int], Seq[Long])]] {
+        def call(): IndexedSeq[(Seq[Int], Seq[Long])] = { start.await(); answers() }
+      }))
+      start.countDown()
+      futures.foreach(f => assert(f.get(5, TimeUnit.MINUTES) == want))
+    } finally pool.shutdownNow()
   }
 }

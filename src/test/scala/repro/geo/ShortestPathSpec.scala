@@ -195,6 +195,60 @@ class ShortestPathSpec extends AnyFunSuite {
     new RoadNetwork(n.name + "-up", n.nodes, n.segments.map(s =>
       if (s.from < s.to) s else s.copy(from = s.to, to = s.from, a = s.b, b = s.a)))
 
+  test("dijkstraTo towards lattice-like targets equals ReferenceSearch.dijkstra, bit for bit") {
+    // The targets are the entrances of a point's 10 nearest segments, as in
+    // the candidate lattice: a small bounding circle, so the goal-directed
+    // search prunes most of the network.
+    val nets = Seq(net, TestWorld.net, upwards(TestWorld.net), TestWorld.oneWayDeadEnd)
+    val rnd = new Random(37)
+    val seen = scala.collection.mutable.Set.empty[String]
+    nets.foreach { n =>
+      (1 to 150).foreach { _ =>
+        val p = XY(n.minX + rnd.nextDouble() * (n.maxX - n.minX), n.minY + rnd.nextDouble() * (n.maxY - n.minY))
+        val targets = n.nearestSegments(p, 10).map(n.segments(_).from)
+        val src = rnd.nextInt(n.numNodes)
+        Seq(100 + 900 * rnd.nextDouble(), Double.PositiveInfinity).foreach { bound =>
+          val full = ReferenceSearch.dijkstra(n, src, bound)
+          val got = ShortestPath.dijkstraTo(n, src, bound, targets)
+          assert(bits(got) == bits(targets.map(full(_))), s"${n.name} src=$src bound=$bound targets=${targets.toSeq}")
+          targets.foreach(v => seen += (if (full(v).isPosInfinity) "inf" else if (full(v) <= bound) "exact" else "tentative"))
+        }
+      }
+    }
+    assert(seen == Set("exact", "tentative", "inf"))
+  }
+
+  test("every U-turn plan on the jitter-free grid equals ReferenceSearch.segmentSearch") {
+    // A plan from a segment to its reverse twin goes round a block, and on
+    // a grid of equal blocks both ways round cost the same: the routes
+    // differ only in which tied predecessor the search keeps.
+    val flat = RoadNetwork.generate(RoadNetwork.CityConfig("flat",
+      gridW = 8, gridH = 7, spacingM = 150, jitterFrac = 0.0, seed = 5))
+    val rnd = new Random(31)
+    val routes = Seq.fill(60)(ReferenceSearch.nodePathSegments(flat,
+      rnd.nextInt(flat.numNodes), rnd.nextInt(flat.numNodes)).get)
+    val sp = new RoutePlanner(flat, Map.empty, Map.empty, beta = 0.0)
+    val fitted = RoutePlanner.fit(flat, routes)
+    val twin = flat.segments.map(s => (s.from, s.to) -> s.id).toMap
+    val uTurns = flat.segments.toSeq.map(s => (s.id, twin((s.to, s.from))))
+    assert(uTurns.size == flat.numSegments)
+    Seq[(RoutePlanner, (Int, Int) => Double)](
+      sp -> ((c, n) => flat.segments(n).lengthM + 0.0 * sp.negLogProb(c, n)),
+      fitted -> ((c, n) => flat.segments(n).lengthM + 30.0 * fitted.negLogProb(c, n))).foreach { case (p, cost) =>
+      uTurns.foreach { case (a, b) =>
+        assert(p.plan(a, b) == ReferenceSearch.segmentSearch(flat, a, b, cost).getOrElse(List(b)), s"$a->$b")
+      }
+    }
+  }
+
+  test("a network with a segment shorter than its chord is rejected") {
+    val nodes = Array(XY(0, 0), XY(100, 0))
+    val chord = nodes(0).dist(nodes(1))
+    new RoadNetwork("chord", nodes, Array(Segment(0, 0, 1, nodes(0), nodes(1), chord)))
+    intercept[IllegalArgumentException](new RoadNetwork("short", nodes,
+      Array(Segment(0, 0, 1, nodes(0), nodes(1), chord), Segment(1, 1, 0, nodes(1), nodes(0), 99.9))))
+  }
+
   /** A query, the name of its network, and its answer on fresh state from
     * `ReferenceSearch`. Answers are compared bit for bit: doubles by their
     * raw bits, after which a returned array is scribbled over.
