@@ -43,7 +43,9 @@ final class MmaModel(
 
   // At reduced data scale the n x d0 segment table (~3 positive examples
   // per segment) overfits badly; leaving it out of the trained parameters
-  // keeps Eq. 1's Node2Vec initialisation as fixed features (DESIGN §3).
+  // keeps Eq. 1's Node2Vec initialisation as fixed features (DESIGN §3),
+  // so the table is a constant and training computes no gradient for it.
+  segEmb.table.markConstant()
   def params: Seq[Tensor] =
     candMlp.params ++ pointFc.params ++ encoder.params ++ attnMlp.params
 
@@ -135,13 +137,13 @@ final class MmaModel(
 
   /** Sequence embeddings Z2 (Eq. 3) for all points of the trajectory. */
   def encodePoints(s: MmaSample)(implicit tp: Tape): Tensor =
-    encoder(pointFc(Tensor.fromRows(s.norm.toIndexedSeq)))
+    encoder(pointFc(Tensor.fromRows(s.norm.toIndexedSeq).markConstant()))
 
   /** Candidate embeddings c_j (Eq. 1-2) for point i: (kc x d2). */
   def candEmbed(s: MmaSample, i: Int)(implicit tp: Tape): Tensor = {
     val e = segEmb(s.cands(i))
     val k = s.cands(i).length
-    val f = new Tensor(k, MmaModel.NumFeats, s.feats(i)) // a constant: no op writes its input
+    val f = new Tensor(k, MmaModel.NumFeats, s.feats(i)).markConstant() // no op writes its input
     candMlp(Ops.concatCols(e, f))
   }
 

@@ -112,10 +112,10 @@ final class TrmmaModel(
 
   /** DualFormer encoding H (Eq. 11-14). */
   def encode(s: TrmmaSample)(implicit tp: Tape): Tensor = {
-    val r1 = fcR(Ops.concatCols(segEmbR(s.route), Tensor.fromRows(s.routeFeat.toIndexedSeq)))
+    val r1 = fcR(Ops.concatCols(segEmbR(s.route), Tensor.fromRows(s.routeFeat.toIndexedSeq).markConstant()))
     val r = transR(r1)
     if (!cfg.useDualFormer) return r // TRMMA-DF: H = R
-    val t0 = Ops.concatCols(Tensor.fromRows(s.coords.toIndexedSeq), segEmbT(s.segs))
+    val t0 = Ops.concatCols(Tensor.fromRows(s.coords.toIndexedSeq).markConstant(), segEmbT(s.segs))
     val tEnc = transT(fcT(t0))
     Ops.add(r, DotAttention(r, tEnc)) // Eq. 13-14
   }
@@ -127,7 +127,7 @@ final class TrmmaModel(
     val x = tp.alloc(6)
     x(0) = r; x(1) = tNorm
     System.arraycopy(slotFeat, 0, x, 2, 4)
-    Ops.concatCols(segEmbT(Array(seg)), new Tensor(1, 6, x))
+    Ops.concatCols(segEmbT(Array(seg)), new Tensor(1, 6, x).markConstant())
   }
 
   /** Per-(slot, candidate) geometric features, pre-differenced and scaled
@@ -155,7 +155,7 @@ final class TrmmaModel(
       d(o + 3) = rf(2); d(o + 4) = sf(0); d(o + 5) = sf(1); d(o + 6) = sf(2); d(o + 7) = aLin
       k0 += 1
     }
-    new Tensor(rows, 8, d)
+    new Tensor(rows, 8, d).markConstant()
   }
 
   /** The decoder heads (Eq. 15 and 18) over the encoding `hEnc` of one

@@ -6,8 +6,9 @@ package repro.geo
   * in the same order as they would from that queue.
   *
   * Keys must be non-negative, never NaN and never -0.0 (every caller's key
-  * is a `hypot`, an `|x|`, or a sum from 0.0 of lengths or costs). On such
-  * keys `<` orders as `Double.compare` does, so the heap compares with it.
+  * is a sum of squares of non-negative offsets, or a sum from 0.0 of lengths
+  * or costs). On such keys `<` orders as `Double.compare` does, so the heap
+  * compares with it.
   */
 private[geo] final class Heap {
   private var keys = new Array[Double](64)

@@ -35,7 +35,7 @@ final class STRtree private (
     private val items: Array[Array[Int]],
     private val root: Int,
 ) extends Serializable {
-  import STRtree.{boxOffset, cutFor, offsetNorm}
+  import STRtree.{boxOffset, cutFor}
 
   /** The first `k` segments in (distance, id) order from `p`, whose
     * coordinates are finite, with their perpendicular (point-to-segment)
@@ -44,16 +44,16 @@ final class STRtree private (
     * them all.
     *
     * Distances are `math.hypot` of an (x, y) offset, as `Geo.pointSegDist`
-    * forms them, and box lower bounds the `hypot` of the offset to the box.
-    * The best so far are held in (distance, id) order in the result arrays;
-    * a segment enters when fewer than k are held or when it sorts before the
-    * last. Once k are held, a box whose lower bound is above the k-th
-    * distance is not expanded (one at exactly that distance may hold a
-    * smaller id), and a segment or child box whose squared offset is at
-    * least `(worst · Slack)²` is dropped without a `hypot`: the squared sum
-    * is within about 3 ulp of the true square and `hypot` within 1 ulp of
-    * the true norm, so that bound proves `hypot` would be strictly above the
-    * k-th distance.
+    * forms them. The best so far are held in (distance, id) order in the
+    * result arrays; a segment enters when fewer than k are held or when it
+    * sorts before the last. The frontier is keyed by the squared offset to
+    * each box. Once k are held, a segment or box whose squared offset is at
+    * least `cut`, `(worst · Slack)²`, is dropped without a `hypot`, and the
+    * search stops when the smallest key reaches `cut`: the squared sum is
+    * within about 3 ulp of the true square and `hypot` within 1 ulp of the
+    * true norm, so that bound proves `hypot` strictly above the k-th
+    * distance, for the segment or for every segment in the box. One at
+    * exactly the k-th distance, which may hold a smaller id, is kept.
     */
   def nearest(p: XY, k: Int): Candidates = {
     if (leaf.isEmpty || k <= 0) return Candidates(Array.emptyIntArray, Array.emptyDoubleArray)
@@ -63,17 +63,17 @@ final class STRtree private (
     val ids = new Array[Int](m)
     val dists = new Array[Double](m)
     var n = 0
-    // Frontier of tree nodes keyed by optimistic lower-bound distance.
+    // Frontier of tree nodes keyed by their boxes' squared offsets.
     val frontier = STRtree.frontiers.get
     frontier.clear()
-    frontier.add(boxDist(root, px, py), root)
+    frontier.add(boxSq(root, px, py), root)
     // Squared offsets at or above `cut` sort after the m-th held entry;
     // NaN (no comparison holds) while fewer than m are held.
     var cut = Double.NaN
     while (!frontier.isEmpty) {
       val lb = frontier.peekKey
       val node = frontier.poll()
-      if (n == m && lb > dists(m - 1)) {
+      if (lb >= cut) {
         frontier.clear() // nothing remaining can enter the first m
       } else if (leaf(node)) {
         val entries = items(node)
@@ -103,12 +103,8 @@ final class STRtree private (
         var i = 0
         while (i < children.length) {
           val c = children(i)
-          val dx = boxOffset(px, boxes(4 * c), boxes(4 * c + 2))
-          val dy = boxOffset(py, boxes(4 * c + 1), boxes(4 * c + 3))
-          if (!(dx * dx + dy * dy >= cut)) {
-            val clb = offsetNorm(dx, dy)
-            if (n < m || clb <= dists(m - 1)) frontier.add(clb, c)
-          }
+          val sq = boxSq(c, px, py)
+          if (!(sq >= cut)) frontier.add(sq, c)
           i += 1
         }
       }
@@ -116,9 +112,12 @@ final class STRtree private (
     Candidates(ids, dists)
   }
 
-  /** Minimum distance from (px, py) to node v's box (0 if inside). */
-  private def boxDist(v: Int, px: Double, py: Double): Double =
-    offsetNorm(boxOffset(px, boxes(4 * v), boxes(4 * v + 2)), boxOffset(py, boxes(4 * v + 1), boxes(4 * v + 3)))
+  /** Squared offset from (px, py) to node v's box (0.0 if inside). */
+  private def boxSq(v: Int, px: Double, py: Double): Double = {
+    val dx = boxOffset(px, boxes(4 * v), boxes(4 * v + 2))
+    val dy = boxOffset(py, boxes(4 * v + 1), boxes(4 * v + 3))
+    dx * dx + dy * dy
+  }
 }
 
 object STRtree {
@@ -135,24 +134,22 @@ object STRtree {
   private final val Slack = 1 + 1e-9
 
   /** The squared offset at or above which a candidate is strictly farther
-    * than `worst`: `(worst · Slack)²` when that is a finite normal number,
-    * else NaN, so that every candidate goes through `hypot`.
+    * than `worst`: `(worst · Slack)²` when that is a finite normal number;
+    * for `worst` 0.0 the least positive double, as a non-zero square proves
+    * a non-zero `hypot`; else NaN, so that every candidate goes through
+    * `hypot`.
     */
   private def cutFor(worst: Double): Double = {
     val w = worst * Slack
     val c = w * w
-    if (c >= java.lang.Double.MIN_NORMAL && c < Double.PositiveInfinity) c else Double.NaN
+    if (c >= java.lang.Double.MIN_NORMAL && c < Double.PositiveInfinity) c
+    else if (worst == 0.0) Double.MinPositiveValue
+    else Double.NaN
   }
 
   /** How far `x` lies outside [lo, hi] (0.0 inside). */
   private def boxOffset(x: Double, lo: Double, hi: Double): Double =
     if (x < lo) lo - x else if (x > hi) x - hi else 0.0
-
-  /** `math.hypot(dx, dy)` of two non-negative offsets; with one of them 0.0
-    * it is the other, which is what `hypot` returns.
-    */
-  private def offsetNorm(dx: Double, dy: Double): Double =
-    if (dx == 0.0) dy else if (dy == 0.0) dx else math.hypot(dx, dy)
 
   private def segMbr(s: Segment): MBR =
     MBR(math.min(s.a.x, s.b.x), math.min(s.a.y, s.b.y), math.max(s.a.x, s.b.x), math.max(s.a.y, s.b.y))

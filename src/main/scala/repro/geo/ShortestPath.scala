@@ -21,19 +21,36 @@ object ShortestPath {
     * planning term. A heuristic s · f with f 1-Lipschitz in the position
     * therefore satisfies h(u) ≤ cost(u→v) + h(v) − (1 − s) · cost(u→v):
     * each arc leaves a margin of 1e-6 of its cost, about 9e-5 m on a 90 m
-    * segment, where the rounding of a key is about 1e-11 m at 10 km. So a
-    * vertex pops only after every vertex on Dijkstra's path to it, at the
-    * double Dijkstra gives it. It is not a tuning knob: any s that keeps
+    * segment, where the rounding of a key is about 1e-11 m at 10 km. The
+    * distances f reads are `math.sqrt(dx * dx + dy * dy)`, not `hypot`:
+    * that adds a rounding of about 1e-12 m at 10 km, as far below the margin.
+    * So a vertex pops only after every vertex on Dijkstra's path to it, at
+    * the double Dijkstra gives it. It is not a tuning knob: any s that keeps
     * that margin above the rounding by orders of magnitude prunes alike.
     */
   private final val Slack = 1 - 1e-6
 
-  /** The heuristic h(v) = scale · max(0, |pos(v) − centre| − radius): the
-    * scaled distance from v's position to a circle, 1-Lipschitz before
-    * scaling.
+  /** A search's heuristic h(v), a lower bound on the distance from v. */
+  private sealed abstract class Guide { def apply(v: Int): Double }
+
+  /** A* proper: h(v) = |pos(v) − goal| as `hypot` forms it, unscaled. */
+  private final class Towards(pos: Array[XY], goal: XY) extends Guide {
+    def apply(v: Int): Double = pos(v).dist(goal)
+  }
+
+  /** h(v) = Slack · max(0, |pos(v) − centre| − radius): the scaled distance
+    * from v's position to a circle, 1-Lipschitz before scaling.
     */
-  private final class Guide(pos: Array[XY], centre: XY, radius: Double, scale: Double) {
-    def apply(v: Int): Double = scale * math.max(0.0, pos(v).dist(centre) - radius)
+  private final class Circle(pos: Array[XY], centre: XY, radius: Double) extends Guide {
+    def apply(v: Int): Double = Slack * math.max(0.0, planar(pos(v), centre) - radius)
+  }
+
+  /** |p − q| as `math.sqrt(dx * dx + dy * dy)`, the goal-directed searches'
+    * distance (see [[Slack]]).
+    */
+  private def planar(p: XY, q: XY): Double = {
+    val dx = p.x - q.x; val dy = p.y - q.y
+    math.sqrt(dx * dx + dy * dy)
   }
 
   /** Per-vertex state of a search, reused by every search of one thread
@@ -171,8 +188,8 @@ object ShortestPath {
       guide: Guide = null)(read: Search => A): A =
     search(net.numNodes, src, net.outSegments, net.outHeads, net.outLengths, targets, bound, guide)(read)
 
-  /** A* proper towards node `dst`: the straight-line distance, unscaled. */
-  private def towards(net: RoadNetwork, dst: Int): Guide = new Guide(net.nodes, net.nodes(dst), 0.0, 1.0)
+  /** A* proper towards node `dst`. */
+  private def towards(net: RoadNetwork, dst: Int): Guide = new Towards(net.nodes, net.nodes(dst))
 
   /** Node-level Dijkstra from `src` read at `targets` (in their order), stopped
     * once all are settled. Nodes past `maxDist` are not expanded: a target is
@@ -187,8 +204,8 @@ object ShortestPath {
     while (i < m) { val p = net.nodes(targets(i)); cx += p.x; cy += p.y; i += 1 }
     val centre = XY(cx / m, cy / m)
     var r = 0.0; i = 0
-    while (i < m) { r = math.max(r, net.nodes(targets(i)).dist(centre)); i += 1 }
-    val guide = if (m == 0) null else new Guide(net.nodes, centre, r, Slack)
+    while (i < m) { r = math.max(r, planar(net.nodes(targets(i)), centre)); i += 1 }
+    val guide = if (m == 0) null else new Circle(net.nodes, centre, r)
     nodeSearch(net, src, targets, maxDist, guide)(s => targets.map(s.dist(_)))
   }
 
@@ -218,7 +235,7 @@ object ShortestPath {
     def route(s: Search): Option[List[Int]] = if (s.dist(to) < Inf) Some(s.arcsTo(from, to)) else None
     def run[A](guide: Guide)(read: Search => A): A =
       search(net.numSegments, from, net.successors, net.successors, costs, Array(to), guide = guide)(read)
-    val guided = run(new Guide(net.exitPositions, net.exitPositions(to), 0.0, Slack)) { s =>
+    val guided = run(new Circle(net.exitPositions, net.exitPositions(to), 0.0)) { s =>
       if (s.tiedOnPath(from, to)) None else Some(route(s))
     }
     guided.getOrElse(run(null)(route))

@@ -34,12 +34,12 @@ final class DeepMmModel(
       val c = net.candidates(t.sparse(i).xy, 64)
       c.ids.indices.foreach(j => b.data(i * net.numSegments + c.ids(j)) = 3.0 * math.exp(-c.dists(j) / 40.0))
     }
-    b
+    b.markConstant()
   }
 
   /** l x n logits over every segment of the network. */
   def logits(t: Traj)(implicit tp: Tape): Tensor = {
-    val enc = encoder(encFc(Tensor.fromRows(features(t).toIndexedSeq)))
+    val enc = encoder(encFc(Tensor.fromRows(features(t).toIndexedSeq).markConstant()))
     Ops.add(Ops.matmul(enc, Ops.transpose(segOut.table)), spatialBias(t))
   }
 

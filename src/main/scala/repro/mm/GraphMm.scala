@@ -44,7 +44,7 @@ final class GraphMmModel(
   def loss(t: Traj)(implicit tp: Tape): Tensor = {
     val perPoint = t.sparse.indices.map { i =>
       val (cands, rows) = candFeatures(t, i)
-      val logits = scorer(Tensor.fromRows(rows.toIndexedSeq))
+      val logits = scorer(Tensor.fromRows(rows.toIndexedSeq).markConstant())
       val labels = cands.map(sid => if (sid == t.sparseTruthSeg(i)) 1.0 else 0.0)
       Ops.bceLogitsSum(logits, labels)
     }
@@ -55,7 +55,7 @@ final class GraphMmModel(
     implicit val tp: Tape = NoTape
     t.sparse.indices.map { i =>
       val (cands, rows) = candFeatures(t, i)
-      val logits = scorer(Tensor.fromRows(rows.toIndexedSeq))
+      val logits = scorer(Tensor.fromRows(rows.toIndexedSeq).markConstant())
       cands(logits.argmax(0, logits.size))
     }.toArray
   }

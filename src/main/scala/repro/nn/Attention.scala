@@ -77,7 +77,7 @@ object TransformerLayer {
 final class TransformerEncoder(val layers: Seq[TransformerLayer]) extends Module {
   def apply(x: Tensor)(implicit tp: Tape): Tensor = {
     val pos = Tensor.positional(x.rows, x.cols)
-    var h = Ops.add(x, pos) // pos is a constant; its gradient is discarded
+    var h = Ops.add(x, pos)
     layers.foreach(l => h = l(h))
     h
   }

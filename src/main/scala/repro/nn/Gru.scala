@@ -53,7 +53,7 @@ object GruCell {
 final class BiGru(val fwd: GruCell, val bwd: GruCell, val proj: Linear) extends Module {
   def apply(xs: Tensor)(implicit tp: Tape): Tensor = {
     val d = fwd.uz.w.rows
-    val h0 = Tensor.zeros(1, d)
+    val h0 = Tensor.zeros(1, d).markConstant()
     val f = fwd.unroll(xs, h0)
     // Reverse rows, run, reverse back: one gather each way.
     val revIdx = Array.tabulate(xs.rows)(i => xs.rows - 1 - i)

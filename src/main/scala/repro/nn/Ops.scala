@@ -2,9 +2,9 @@ package repro.nn
 
 /** Differentiable tensor operations. Every op computes the forward value
   * eagerly and, when `tp` is a [[GradTape]], records its output with a
-  * closure that accumulates input gradients from the output gradient. All
-  * gradients are verified against numerical differentiation in
-  * `nn.GradCheckSpec`.
+  * closure that accumulates input gradients from the output gradient,
+  * skipping each input the tape `needsGrad` not (a constant). All gradients
+  * are verified against numerical differentiation in `nn.GradCheckSpec`.
   */
 object Ops {
 
@@ -15,10 +15,10 @@ object Ops {
     val out = tp.alloc(m * n)
     MatMul.mul(a.data, b.data, out, m, k, n)
     val y = new Tensor(m, n, out)
-    if (tp.active) tp.record(y) { () =>
+    if (tp.active) tp.record(y, a, b) { () =>
       val dy = tp.grad(y)
-      MatMul.addABt(dy, b.data, tp.grad(a), m, k, n)
-      MatMul.addAtB(a.data, dy, tp.grad(b), m, k, n)
+      if (tp.needsGrad(a)) MatMul.addABt(dy, b.data, tp.grad(a), m, k, n)
+      if (tp.needsGrad(b)) MatMul.addAtB(a.data, dy, tp.grad(b), m, k, n)
     }
     y
   }
@@ -29,7 +29,7 @@ object Ops {
     var r = 0
     while (r < m) { var c = 0; while (c < n) { out(c * m + r) = a.data(r * n + c); c += 1 }; r += 1 }
     val y = new Tensor(n, m, out)
-    if (tp.active) tp.record(y) { () =>
+    if (tp.active) tp.record(y, a) { () =>
       val dy = tp.grad(y); val da = tp.grad(a)
       var i = 0
       while (i < a.rows) { var j = 0; while (j < a.cols) { da(i * a.cols + j) += dy(j * a.rows + i); j += 1 }; i += 1 }
@@ -42,9 +42,10 @@ object Ops {
     val out = tp.alloc(a.size)
     var k = 0; while (k < out.length) { out(k) = a.data(k) + b.data(k); k += 1 }
     val y = new Tensor(a.rows, a.cols, out)
-    if (tp.active) tp.record(y) { () =>
-      val dy = tp.grad(y); val da = tp.grad(a); val db = tp.grad(b)
-      var i = 0; while (i < y.size) { da(i) += dy(i); db(i) += dy(i); i += 1 }
+    if (tp.active) tp.record(y, a, b) { () =>
+      val dy = tp.grad(y)
+      if (tp.needsGrad(a)) { val da = tp.grad(a); var i = 0; while (i < y.size) { da(i) += dy(i); i += 1 } }
+      if (tp.needsGrad(b)) { val db = tp.grad(b); var i = 0; while (i < y.size) { db(i) += dy(i); i += 1 } }
     }
     y
   }
@@ -57,10 +58,14 @@ object Ops {
     var r = 0
     while (r < a.rows) { var c = 0; while (c < n) { val k = r * n + c; out(k) = a.data(k) + b.data(c); c += 1 }; r += 1 }
     val y = new Tensor(a.rows, n, out)
-    if (tp.active) tp.record(y) { () =>
-      val dy = tp.grad(y); val da = tp.grad(a); val db = tp.grad(b)
-      var i = 0
-      while (i < a.rows) { var j = 0; while (j < n) { val g = dy(i * n + j); da(i * n + j) += g; db(j) += g; j += 1 }; i += 1 }
+    if (tp.active) tp.record(y, a, b) { () =>
+      val dy = tp.grad(y)
+      if (tp.needsGrad(a)) { val da = tp.grad(a); var i = 0; while (i < y.size) { da(i) += dy(i); i += 1 } }
+      if (tp.needsGrad(b)) {
+        val db = tp.grad(b)
+        var i = 0
+        while (i < a.rows) { var j = 0; while (j < n) { db(j) += dy(i * n + j); j += 1 }; i += 1 }
+      }
     }
     y
   }
@@ -70,9 +75,10 @@ object Ops {
     val out = tp.alloc(a.size)
     var k = 0; while (k < out.length) { out(k) = a.data(k) * b.data(k); k += 1 }
     val y = new Tensor(a.rows, a.cols, out)
-    if (tp.active) tp.record(y) { () =>
-      val dy = tp.grad(y); val da = tp.grad(a); val db = tp.grad(b)
-      var i = 0; while (i < y.size) { da(i) += dy(i) * b.data(i); db(i) += dy(i) * a.data(i); i += 1 }
+    if (tp.active) tp.record(y, a, b) { () =>
+      val dy = tp.grad(y)
+      if (tp.needsGrad(a)) { val da = tp.grad(a); var i = 0; while (i < y.size) { da(i) += dy(i) * b.data(i); i += 1 } }
+      if (tp.needsGrad(b)) { val db = tp.grad(b); var i = 0; while (i < y.size) { db(i) += dy(i) * a.data(i); i += 1 } }
     }
     y
   }
@@ -81,7 +87,7 @@ object Ops {
     val out = tp.alloc(a.size)
     var k = 0; while (k < out.length) { out(k) = a.data(k) * c; k += 1 }
     val y = new Tensor(a.rows, a.cols, out)
-    if (tp.active) tp.record(y) { () =>
+    if (tp.active) tp.record(y, a) { () =>
       val dy = tp.grad(y); val da = tp.grad(a)
       var i = 0; while (i < y.size) { da(i) += dy(i) * c; i += 1 }
     }
@@ -92,7 +98,7 @@ object Ops {
     val out = tp.alloc(a.size)
     var k = 0; while (k < out.length) { val v = a.data(k); out(k) = if (v > 0) v else 0.0; k += 1 }
     val y = new Tensor(a.rows, a.cols, out)
-    if (tp.active) tp.record(y) { () =>
+    if (tp.active) tp.record(y, a) { () =>
       val dy = tp.grad(y); val da = tp.grad(a)
       var i = 0; while (i < y.size) { if (a.data(i) > 0) da(i) += dy(i); i += 1 }
     }
@@ -103,7 +109,7 @@ object Ops {
     val out = tp.alloc(a.size)
     var k = 0; while (k < out.length) { out(k) = 1.0 / (1.0 + math.exp(-a.data(k))); k += 1 }
     val y = new Tensor(a.rows, a.cols, out)
-    if (tp.active) tp.record(y) { () =>
+    if (tp.active) tp.record(y, a) { () =>
       val dy = tp.grad(y); val da = tp.grad(a)
       var i = 0; while (i < y.size) { val s = y.data(i); da(i) += dy(i) * s * (1 - s); i += 1 }
     }
@@ -114,7 +120,7 @@ object Ops {
     val out = tp.alloc(a.size)
     var k = 0; while (k < out.length) { out(k) = math.tanh(a.data(k)); k += 1 }
     val y = new Tensor(a.rows, a.cols, out)
-    if (tp.active) tp.record(y) { () =>
+    if (tp.active) tp.record(y, a) { () =>
       val dy = tp.grad(y); val da = tp.grad(a)
       var i = 0; while (i < y.size) { val t = y.data(i); da(i) += dy(i) * (1 - t * t); i += 1 }
     }
@@ -146,7 +152,7 @@ object Ops {
     val out = tp.alloc(a.size)
     softmaxInto(a, out)
     val y = new Tensor(a.rows, n, out)
-    if (tp.active) tp.record(y) { () =>
+    if (tp.active) tp.record(y, a) { () =>
       val dy = tp.grad(y); val da = tp.grad(a)
       var i2 = 0
       while (i2 < a.rows) {
@@ -189,29 +195,39 @@ object Ops {
       i += 1
     }
     val y = new Tensor(x.rows, n, out)
-    if (tp.active) tp.record(y) { () =>
-      val dy = tp.grad(y); val dx = tp.grad(x); val dg = tp.grad(gain); val db = tp.grad(bias)
-      var i3 = 0
-      while (i3 < x.rows) {
-        var mDxh = 0.0; var mDxhXh = 0.0
-        var j3 = 0
-        while (j3 < n) {
-          val g = dy(i3 * n + j3)
-          dg(j3) += g * xhat(i3 * n + j3)
-          db(j3) += g
-          val dxh = g * gain.data(j3)
-          mDxh += dxh
-          mDxhXh += dxh * xhat(i3 * n + j3)
-          j3 += 1
+    if (tp.active) tp.record(y, Seq(x, gain, bias)) { () =>
+      val dy = tp.grad(y)
+      if (tp.needsGrad(gain)) {
+        val dg = tp.grad(gain)
+        var i = 0
+        while (i < x.rows) { var j = 0; while (j < n) { dg(j) += dy(i * n + j) * xhat(i * n + j); j += 1 }; i += 1 }
+      }
+      if (tp.needsGrad(bias)) {
+        val db = tp.grad(bias)
+        var i = 0
+        while (i < x.rows) { var j = 0; while (j < n) { db(j) += dy(i * n + j); j += 1 }; i += 1 }
+      }
+      if (tp.needsGrad(x)) {
+        val dx = tp.grad(x)
+        var i3 = 0
+        while (i3 < x.rows) {
+          var mDxh = 0.0; var mDxhXh = 0.0
+          var j3 = 0
+          while (j3 < n) {
+            val dxh = dy(i3 * n + j3) * gain.data(j3)
+            mDxh += dxh
+            mDxhXh += dxh * xhat(i3 * n + j3)
+            j3 += 1
+          }
+          mDxh /= n; mDxhXh /= n
+          j3 = 0
+          while (j3 < n) {
+            val dxh = dy(i3 * n + j3) * gain.data(j3)
+            dx(i3 * n + j3) += invStd(i3) * (dxh - mDxh - xhat(i3 * n + j3) * mDxhXh)
+            j3 += 1
+          }
+          i3 += 1
         }
-        mDxh /= n; mDxhXh /= n
-        j3 = 0
-        while (j3 < n) {
-          val dxh = dy(i3 * n + j3) * gain.data(j3)
-          dx(i3 * n + j3) += invStd(i3) * (dxh - mDxh - xhat(i3 * n + j3) * mDxhXh)
-          j3 += 1
-        }
-        i3 += 1
       }
     }
     y
@@ -228,15 +244,17 @@ object Ops {
       r += 1
     }
     val y = new Tensor(a.rows, n, out)
-    if (tp.active) tp.record(y) { () =>
-      val dy = tp.grad(y); val da = tp.grad(a); val db = tp.grad(b)
-      var i = 0
-      while (i < a.rows) {
-        var j = 0
-        while (j < a.cols) { da(i * a.cols + j) += dy(i * n + j); j += 1 }
-        j = 0
-        while (j < b.cols) { db(i * b.cols + j) += dy(i * n + a.cols + j); j += 1 }
-        i += 1
+    if (tp.active) tp.record(y, a, b) { () =>
+      val dy = tp.grad(y)
+      if (tp.needsGrad(a)) {
+        val da = tp.grad(a)
+        var i = 0
+        while (i < a.rows) { var j = 0; while (j < a.cols) { da(i * a.cols + j) += dy(i * n + j); j += 1 }; i += 1 }
+      }
+      if (tp.needsGrad(b)) {
+        val db = tp.grad(b)
+        var i = 0
+        while (i < a.rows) { var j = 0; while (j < b.cols) { db(i * b.cols + j) += dy(i * n + a.cols + j); j += 1 }; i += 1 }
       }
     }
     y
@@ -251,12 +269,11 @@ object Ops {
     var off = 0
     parts.foreach { p => System.arraycopy(p.data, 0, d, off, p.size); off += p.size }
     val y = new Tensor(m, n, d)
-    if (tp.active) tp.record(y) { () =>
+    if (tp.active) tp.record(y, parts) { () =>
       val dy = tp.grad(y)
       var off2 = 0
       parts.foreach { p =>
-        val dp = tp.grad(p)
-        var i = 0; while (i < p.size) { dp(i) += dy(off2 + i); i += 1 }
+        if (tp.needsGrad(p)) { val dp = tp.grad(p); var i = 0; while (i < p.size) { dp(i) += dy(off2 + i); i += 1 } }
         off2 += p.size
       }
     }
@@ -268,7 +285,7 @@ object Ops {
     val out = tp.alloc(a.rows * w)
     var r = 0; while (r < a.rows) { System.arraycopy(a.data, r * a.cols + from, out, r * w, w); r += 1 }
     val y = new Tensor(a.rows, w, out)
-    if (tp.active) tp.record(y) { () =>
+    if (tp.active) tp.record(y, a) { () =>
       val dy = tp.grad(y); val da = tp.grad(a)
       var i = 0
       while (i < a.rows) { var j = 0; while (j < w) { da(i * a.cols + from + j) += dy(i * w + j); j += 1 }; i += 1 }
@@ -281,7 +298,7 @@ object Ops {
     val out = tp.alloc(h * a.cols)
     System.arraycopy(a.data, from * a.cols, out, 0, out.length)
     val y = new Tensor(h, a.cols, out)
-    if (tp.active) tp.record(y) { () =>
+    if (tp.active) tp.record(y, a) { () =>
       val dy = tp.grad(y); val da = tp.grad(a)
       var i = 0; while (i < y.size) { da(from * a.cols + i) += dy(i); i += 1 }
     }
@@ -294,7 +311,7 @@ object Ops {
     val out = tp.alloc(idx.length * n)
     var r = 0; while (r < idx.length) { System.arraycopy(emb.data, idx(r) * n, out, r * n, n); r += 1 }
     val y = new Tensor(idx.length, n, out)
-    if (tp.active) tp.record(y) { () =>
+    if (tp.active) tp.record(y, emb) { () =>
       val dy = tp.grad(y); val de = tp.grad(emb)
       var i = 0
       while (i < idx.length) {
@@ -312,7 +329,7 @@ object Ops {
     var i = 0
     while (i < m) { var j = 0; while (j < n) { d(j) += a(i, j) / m; j += 1 }; i += 1 }
     val y = new Tensor(1, n, d)
-    if (tp.active) tp.record(y) { () =>
+    if (tp.active) tp.record(y, a) { () =>
       val dy = tp.grad(y); val da = tp.grad(a)
       var i2 = 0
       while (i2 < m) { var j = 0; while (j < n) { da(i2 * n + j) += dy(j) / m; j += 1 }; i2 += 1 }
@@ -323,7 +340,7 @@ object Ops {
   def sumAll(a: Tensor)(implicit tp: Tape): Tensor = {
     val y = new Tensor(1, 1, tp.alloc(1))
     y.data(0) = a.data.sum
-    if (tp.active) tp.record(y) { () =>
+    if (tp.active) tp.record(y, a) { () =>
       val g = tp.grad(y)(0); val da = tp.grad(a)
       var i = 0; while (i < a.size) { da(i) += g; i += 1 }
     }
@@ -337,7 +354,7 @@ object Ops {
     val out = tp.alloc(m * n)
     var r = 0; while (r < m) { System.arraycopy(row.data, 0, out, r * n, n); r += 1 }
     val y = new Tensor(m, n, out)
-    if (tp.active) tp.record(y) { () =>
+    if (tp.active) tp.record(y, row) { () =>
       val dy = tp.grad(y); val dr = tp.grad(row)
       var i = 0
       while (i < m) { var j = 0; while (j < n) { dr(j) += dy(i * n + j); j += 1 }; i += 1 }
@@ -357,7 +374,7 @@ object Ops {
     }
     val y = new Tensor(1, 1, tp.alloc(1))
     y.data(0) = loss
-    if (tp.active) tp.record(y) { () =>
+    if (tp.active) tp.record(y, logits) { () =>
       val g = tp.grad(y)(0); val dl = tp.grad(logits)
       var i2 = 0
       while (i2 < logits.size) {
@@ -380,7 +397,7 @@ object Ops {
     while (i < logits.rows) { loss += -math.log(math.max(1e-12, probs(i * n + targets(i)))); i += 1 }
     val y = new Tensor(1, 1, tp.alloc(1))
     y.data(0) = loss
-    if (tp.active) tp.record(y) { () =>
+    if (tp.active) tp.record(y, logits) { () =>
       val g = tp.grad(y)(0); val dl = tp.grad(logits)
       var i2 = 0
       while (i2 < logits.rows) {
@@ -404,7 +421,7 @@ object Ops {
     while (i < pred.size) { loss += math.abs(pred.data(i) - target(i)); i += 1 }
     val y = new Tensor(1, 1, tp.alloc(1))
     y.data(0) = loss
-    if (tp.active) tp.record(y) { () =>
+    if (tp.active) tp.record(y, pred) { () =>
       val g = tp.grad(y)(0); val dp = tp.grad(pred)
       var i2 = 0
       while (i2 < pred.size) {
@@ -423,7 +440,7 @@ object Ops {
     while (i < pred.size) { val d = pred.data(i) - target(i); loss += d * d; i += 1 }
     val y = new Tensor(1, 1, tp.alloc(1))
     y.data(0) = loss
-    if (tp.active) tp.record(y) { () =>
+    if (tp.active) tp.record(y, pred) { () =>
       val g = tp.grad(y)(0); val dp = tp.grad(pred)
       var i2 = 0
       while (i2 < pred.size) { dp(i2) += g * 2 * (pred.data(i2) - target(i2)); i2 += 1 }

@@ -13,6 +13,11 @@ import scala.collection.mutable
   * parameter, so tensors stay immutable-by-convention and data-parallel
   * training stays trivial (each worker thread owns a private tape;
   * parameter gradients are summed after backward).
+  *
+  * A tensor may be marked [[constant]]: data, not a parameter, so that no
+  * gradient of it is ever read. A [[GradTape]] records no op whose inputs
+  * are all constant (its output is constant too), computes no constant
+  * input's gradient, and throws when asked for a constant's gradient.
   */
 final class Tensor(val rows: Int, val cols: Int, val data: Array[Double]) extends Serializable {
   require(data.length == rows * cols, s"shape ${rows}x$cols != data ${data.length}")
@@ -20,6 +25,11 @@ final class Tensor(val rows: Int, val cols: Int, val data: Array[Double]) extend
   @transient private[nn] var tapeId: Long = 0L
   /** This tensor's slot on that tape. */
   @transient private[nn] var slot: Int = -1
+  private var isConstant = false
+  /** Whether this tensor is marked constant; the mark is never cleared. */
+  def constant: Boolean = isConstant
+  /** Marks this tensor constant and returns it. */
+  def markConstant(): Tensor = { isConstant = true; this }
   def apply(i: Int, j: Int): Double = data(i * cols + j)
   def size: Int = data.length
   def copyTensor(): Tensor = new Tensor(rows, cols, data.clone())
@@ -63,15 +73,15 @@ object Tensor {
     val lim = math.sqrt(6.0 / (rows + cols))
     Tensor(rows, cols)((_, _) => (rnd.nextDouble() * 2 - 1) * lim)
   }
-  /** Sinusoidal positional encodings (len x d), a constant (no gradient).
-    * Rows are computed once per width and copied out of [[posTables]].
+  /** Sinusoidal positional encodings (len x d), a constant. Rows are
+    * computed once per width and copied out of [[posTables]].
     */
   def positional(len: Int, d: Int): Tensor = {
     var table = posTables.getOrElse(d, null)
     if (table == null || table.length < len * d) table = growPositional(len, d)
     val out = new Array[Double](len * d)
     System.arraycopy(table, 0, out, 0, out.length)
-    new Tensor(len, d, out)
+    new Tensor(len, d, out).markConstant()
   }
 
   /** Row-major positional rows per width. Each table is immutable once
@@ -103,11 +113,27 @@ object Tensor {
 /** Recording context for reverse-mode autodiff. [[NoTape]] disables
   * recording (inference); [[GradTape]] records and replays backward;
   * [[Scratch]] records nothing and recycles op outputs within one call.
+  * Ops call `record` and `needsGrad` only on an `active` tape.
   */
 trait Tape {
   def active: Boolean
-  /** Record `f`, which adds the input gradients of the op whose output is `y`. */
-  def record(y: Tensor)(f: () => Unit): Unit
+  /** Whether backward computes `t`'s gradient. */
+  def needsGrad(t: Tensor): Boolean
+  /** Appends `f`, which adds the input gradients of the op whose output is `y`. */
+  protected def push(y: Tensor, f: () => Unit): Unit
+  /** Records `f` for the op whose output `y` was computed from `a`: `f`
+    * adds to the gradient of each input that `needsGrad`. An op none of
+    * whose inputs needs a gradient is not recorded, and its output is
+    * marked constant.
+    */
+  final def record(y: Tensor, a: Tensor)(f: () => Unit): Unit =
+    if (needsGrad(a)) push(y, f) else y.markConstant()
+  /** `record` for an op of two inputs. */
+  final def record(y: Tensor, a: Tensor, b: Tensor)(f: () => Unit): Unit =
+    if (needsGrad(a) || needsGrad(b)) push(y, f) else y.markConstant()
+  /** `record` for an op of any number of inputs. */
+  final def record(y: Tensor, inputs: Seq[Tensor])(f: () => Unit): Unit =
+    if (inputs.exists(needsGrad)) push(y, f) else y.markConstant()
   def grad(t: Tensor): Array[Double]
   /** A zeroed array of length `n` for an op's output or temporary: a fresh
     * one, except on a [[Scratch]].
@@ -115,16 +141,23 @@ trait Tape {
   def alloc(n: Int): Array[Double] = new Array[Double](n)
 }
 
-object NoTape extends Tape {
-  val active = false
-  def record(y: Tensor)(f: () => Unit): Unit = ()
-  def grad(t: Tensor): Array[Double] =
+/** The inactive tapes' recording: there is none. */
+sealed trait Inactive extends Tape {
+  final val active = false
+  final def needsGrad(t: Tensor): Boolean = false
+  protected final def push(y: Tensor, f: () => Unit): Unit = ()
+  final def grad(t: Tensor): Array[Double] =
     throw new IllegalStateException("gradients requested outside a GradTape")
 }
+
+object NoTape extends Inactive
 
 /** Records ops in forward order and replays them backward. Recording gives
   * the op's output the next slot, so the gradient of a tensor this tape
   * recorded is an array index; only leaves go through the identity map.
+  * Honours the constant mark: a constant needs no gradient, and asking for
+  * one throws (a parameter marked by mistake fails in `Trainer.step`
+  * instead of training at zero).
   */
 final class GradTape extends Tape {
   val active = true
@@ -132,12 +165,14 @@ final class GradTape extends Tape {
   private val ops = mutable.ArrayBuffer.empty[() => Unit]
   private val outGrads = mutable.ArrayBuffer.empty[Array[Double]]
   private val leafGrads = new java.util.IdentityHashMap[Tensor, Array[Double]]()
-  def record(y: Tensor)(f: () => Unit): Unit = {
+  def needsGrad(t: Tensor): Boolean = !t.constant
+  protected def push(y: Tensor, f: () => Unit): Unit = {
     y.tapeId = id; y.slot = ops.length
     ops += f; outGrads += null
   }
   def grad(t: Tensor): Array[Double] =
-    if (t.tapeId == id) {
+    if (t.constant) throw new IllegalArgumentException(s"gradient of a constant $t requested")
+    else if (t.tapeId == id) {
       var g = outGrads(t.slot)
       if (g == null) { g = new Array[Double](t.size); outGrads(t.slot) = g }
       g
@@ -163,12 +198,7 @@ final class GradTape extends Tape {
   * copied out first. One call owns a `Scratch`: it is not thread-safe and
   * must not outlive that call.
   */
-final class Scratch extends Tape {
-  val active = false
-  def record(y: Tensor)(f: () => Unit): Unit = ()
-  def grad(t: Tensor): Array[Double] =
-    throw new IllegalStateException("gradients requested outside a GradTape")
-
+final class Scratch extends Inactive {
   // Arrays in the order they were handed out; slots `used` and above hold
   // released arrays, which `alloc` reuses when the length fits.
   private var arrays = new Array[Array[Double]](64)

@@ -84,9 +84,9 @@ final class DhtrModel(
 
   def predictXY(t: Traj, times: Array[Double], lin: Array[XY])(implicit tp: Tape): Tensor = {
     val frame = new SparseFrame(net, t)
-    val enc = encoder(encFc(Tensor.fromRows(frame.rows.toIndexedSeq)))
+    val enc = encoder(encFc(Tensor.fromRows(frame.rows.toIndexedSeq).markConstant()))
     val rows = times.indices.map { j =>
-      val q = queryFc(new Tensor(1, 3, frame.at(lin(j).x, lin(j).y, times(j))))
+      val q = queryFc(new Tensor(1, 3, frame.at(lin(j).x, lin(j).y, times(j))).markConstant())
       Ops.sigmoid(head(Ops.concatCols(q, DotAttention(q, enc))))
     }
     Ops.concatRows(rows)
@@ -124,9 +124,9 @@ final class TeriModel(
 
   def predictXY(t: Traj, times: Array[Double], lin: Array[XY])(implicit tp: Tape): Tensor = {
     val frame = new SparseFrame(net, t)
-    val enc = encoder(encFc(Tensor.fromRows(frame.rows.toIndexedSeq)))
+    val enc = encoder(encFc(Tensor.fromRows(frame.rows.toIndexedSeq).markConstant()))
     val queries = times.indices.map(j => frame.at(lin(j).x, lin(j).y, times(j)))
-    val q = queryFc(Tensor.fromRows(queries.toIndexedSeq))
+    val q = queryFc(Tensor.fromRows(queries.toIndexedSeq).markConstant())
     val ctx = cross(q, enc)
     Ops.sigmoid(head(Ops.concatCols(q, ctx)))
   }

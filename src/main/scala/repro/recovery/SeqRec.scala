@@ -132,7 +132,7 @@ final class SeqRecModel(
 
   /** Encoder states (pooled variants collapse to a single row). */
   def encode(s: SeqRecSample)(implicit tp: Tape): Tensor = {
-    val x = encFc(Tensor.fromRows(s.feats.toIndexedSeq))
+    val x = encFc(Tensor.fromRows(s.feats.toIndexedSeq).markConstant())
     val states = cfg.kind match {
       case "mtrajrec" => encGru(x)
       case _          => encTrans(x)
@@ -143,7 +143,7 @@ final class SeqRecModel(
   private[recovery] def gruInput(seg: Int, r: Double, tn: Double)(implicit tp: Tape): Tensor = {
     val x = tp.alloc(2)
     x(0) = r; x(1) = tn
-    Ops.concatCols(segIn(Array(seg)), new Tensor(1, 2, x))
+    Ops.concatCols(segIn(Array(seg)), new Tensor(1, 2, x).markConstant())
   }
 
   /** Candidate logits for slot j: embedding score plus geometric bypass. */
@@ -152,7 +152,7 @@ final class SeqRecModel(
     val q = clsProj(Ops.concatCols(h, ctx)) // 1 x dh
     val mask = s.masks(j)
     val cand = segOut(mask)                 // maskK x dh
-    val geo = new Tensor(mask.length, 4, s.maskFeat(j)) // a constant: no op writes its input
+    val geo = new Tensor(mask.length, 4, s.maskFeat(j)).markConstant() // no op writes its input
     (Ops.add(Ops.matmul(cand, Ops.transpose(q)), geoMlp(geo)), ctx)
   }
 

@@ -49,19 +49,4 @@ class GeoSpec extends AnyFunSuite {
     assert(math.abs(cosine(XY(1, 0), XY(-4, 0)) + 1.0) < 1e-12)
     assert(cosine(XY(0, 0), XY(1, 1)) == 0.0)
   }
-
-  test("hypot(x, 0.0) is |x| bit for bit, as the R-tree's box bounds assume") {
-    // Random, subnormal, tiny, large and extreme magnitudes of both signs.
-    val rnd = new scala.util.Random(3)
-    val fixed = Seq(0.0, -0.0, Double.MinPositiveValue, java.lang.Double.MIN_NORMAL, 1e-300, 1e-160, 1e154,
-      1e200, Double.MaxValue, Double.PositiveInfinity)
-    val random = Seq.fill(2000)(rnd.nextDouble() * math.pow(10, rnd.nextInt(40) - 20)) ++
-      Seq.fill(500)(java.lang.Double.longBitsToDouble(rnd.nextLong() & 0x000fffffffffffffL)) ++
-      Seq.fill(500)(java.lang.Double.longBitsToDouble(rnd.nextLong() & 0x7fefffffffffffffL))
-    (fixed ++ random).flatMap(x => Seq(x, -x)).foreach { x =>
-      val want = java.lang.Double.doubleToRawLongBits(math.abs(x))
-      assert(java.lang.Double.doubleToRawLongBits(math.hypot(x, 0.0)) == want, s"hypot($x, 0)")
-      assert(java.lang.Double.doubleToRawLongBits(math.hypot(0.0, x)) == want, s"hypot(0, $x)")
-    }
-  }
 }

@@ -139,6 +139,54 @@ class STRtreeSpec extends AnyFunSuite {
     sameAsBruteForce(right ++ left, Seq(XY(0, 0)), Seq(1, 8, 9, 10, 24, 40))
   }
 
+  test("several segments tied at the k-th distance: the brute-force sort, at exact ties") {
+    // Segments start at integer offsets (3, 4)·s, (5, 12)·s, (r, 0) and the
+    // like from an integer query point and run radially outwards, so each
+    // one's nearest point is its start and its distance an integer r: many
+    // segments share each distance, and the k-th often ties the (k+1)-th.
+    val rnd = new Random(23)
+    val offsets = for {
+      (a, b, r) <- Seq((3, 4, 5), (5, 12, 13), (8, 15, 17), (0, 10, 10), (6, 8, 10), (0, 13, 13))
+      (x, y) <- Seq((a, b), (b, a))
+      (sx, sy) <- Seq((1, 1), (1, -1), (-1, 1), (-1, -1))
+    } yield (sx * x, sy * y, r)
+    var straddles = 0
+    (1 to 40).foreach { q =>
+      val p = XY(200 + rnd.nextInt(600), 200 + rnd.nextInt(600))
+      val tied = Array.tabulate(60) { i =>
+        val (ox, oy, r) = offsets(rnd.nextInt(offsets.length))
+        val a = XY(p.x + ox, p.y + oy)
+        val u = 1 + rnd.nextInt(5)
+        Segment(i, 0, 1, a, XY(a.x + ox * u, a.y + oy * u), r * u)
+      }
+      val noise = Array.tabulate(140) { i =>
+        val a = XY(rnd.nextDouble() * 1000, rnd.nextDouble() * 1000)
+        Segment(60 + i, 0, 1, a, XY(a.x + rnd.nextDouble() * 60 - 30, a.y + rnd.nextDouble() * 60 - 30), 60)
+      }
+      // Shuffled ids, so the tied segments' ids are spread over the leaves.
+      val perm = rnd.shuffle((0 until 200).toIndexedSeq)
+      val segs = (tied ++ noise).map(s => s.copy(id = perm(s.id))).sortBy(_.id)
+      val ks = Seq(1, 3, 5, 8, 10, 16, 40)
+      sameAsBruteForce(segs, Seq(p), ks)
+      val all = bruteTopK(segs, p, ks.max + 1)
+      straddles += ks.count(k => all.dists(k - 1) == all.dists(k))
+    }
+    assert(straddles > 100, s"only $straddles ties at the k-th distance")
+  }
+
+  test("queries inside leaf boxes, with a zero box offset on one axis: the brute-force sort") {
+    // A query level with a segment's end on one axis lies inside its leaf's
+    // box on that axis, so the box's squared offset is the other axis's
+    // square alone; queries on segments are inside on both.
+    val segs = randomSegments(700)
+    val rnd = new Random(29)
+    val onAxis = segs.toSeq.filter(_ => rnd.nextInt(5) == 0).flatMap { s =>
+      Seq(XY(s.a.x, rnd.nextDouble() * 5000), XY(rnd.nextDouble() * 5000, s.b.y))
+    }
+    val inside = segs.toSeq.filter(_ => rnd.nextInt(5) == 0).map(s => Geo.lerp(s.a, s.b, rnd.nextDouble()))
+    sameAsBruteForce(segs, onAxis ++ inside)
+  }
+
   test("k larger than segment count returns all segments") {
     val segs = randomSegments(5)
     val tree = STRtree.build(segs)

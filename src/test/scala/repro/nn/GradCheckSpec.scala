@@ -33,6 +33,33 @@ object NumGrad {
   }
 }
 
+/** Every op of two or more inputs, as a scalar loss over inputs of the
+  * given shapes. Each input is read by a non-linear term of the loss, so
+  * every input's gradient depends on the others' values.
+  */
+object MultiInputOps {
+  final case class Case(name: String, shapes: Seq[(Int, Int)], loss: Seq[Tensor] => Tape => Tensor)
+
+  private def sumTanh(y: Tensor)(implicit tp: Tape): Tensor = Ops.sumAll(Ops.tanh(y))
+
+  val cases: Seq[Case] = Seq(
+    Case("matmul", Seq((3, 4), (4, 5)), xs => implicit tp => sumTanh(Ops.matmul(xs(0), xs(1)))),
+    Case("add", Seq((3, 3), (3, 3)), xs => implicit tp => sumTanh(Ops.add(xs(0), xs(1)))),
+    Case("addRow", Seq((4, 3), (1, 3)), xs => implicit tp => sumTanh(Ops.addRow(xs(0), xs(1)))),
+    Case("mulElem", Seq((3, 3), (3, 3)), xs => implicit tp => sumTanh(Ops.mulElem(xs(0), xs(1)))),
+    Case("concatCols", Seq((3, 2), (3, 4)), xs => implicit tp => sumTanh(Ops.concatCols(xs(0), xs(1)))),
+    Case("concatRows", Seq((2, 3), (4, 3), (1, 3)), xs => implicit tp => sumTanh(Ops.concatRows(xs))),
+    Case("layerNorm", Seq((4, 6), (1, 6), (1, 6)), xs => implicit tp => sumTanh(Ops.layerNorm(xs(0), xs(1), xs(2)))),
+  )
+
+  /** Fresh random inputs of `c`, with input `constant` marked constant. */
+  def inputs(c: Case, constant: Int, rnd: Random): Seq[Tensor] =
+    c.shapes.zipWithIndex.map { case ((r, k), i) =>
+      val t = Tensor(r, k)((_, _) => rnd.nextGaussian() * 0.5)
+      if (i == constant) t.markConstant() else t
+    }
+}
+
 class GradCheckSpec extends AnyFunSuite {
   private val rnd = new Random(1234)
   private def randT(r: Int, c: Int): Tensor = Tensor(r, c)((_, _) => rnd.nextGaussian() * 0.5)
@@ -170,6 +197,14 @@ class GradCheckSpec extends AnyFunSuite {
     val a = randT(3, 2)
     val target = Array(0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
     assert(NumGrad.check(Seq(a), implicit tp => Ops.mseSum(a, target)) < Tol)
+  }
+
+  test("with one input constant, every other input's gradient matches the numerical one") {
+    for (c <- MultiInputOps.cases; k <- c.shapes.indices) {
+      val xs = MultiInputOps.inputs(c, k, rnd)
+      val others = xs.patch(k, Nil, 1)
+      assert(NumGrad.check(others, c.loss(xs)) < 1e-4, s"${c.name}, input $k constant")
+    }
   }
 
   test("mlp end-to-end gradient") {

@@ -51,6 +51,62 @@ class GradTapeSpec extends AnyFunSuite {
       .foreach(s => assertSameGradients(m.params, tp => m.loss(s)(tp)))
   }
 
+  test("with one input of a multi-input op constant, the other gradients are bit-equal under both tapes") {
+    val rnd = new scala.util.Random(3)
+    for (c <- MultiInputOps.cases; k <- c.shapes.indices) {
+      val xs = MultiInputOps.inputs(c, k, rnd)
+      val others = xs.patch(k, Nil, 1)
+      assertSameGradients(others, c.loss(xs))
+      val tape = new GradTape
+      tape.backward(c.loss(xs)(tape))
+      intercept[IllegalArgumentException](tape.grad(xs(k)))
+    }
+  }
+
+  test("an op over constants only is not recorded, and its output is constant") {
+    val rnd = new scala.util.Random(4)
+    for (c <- MultiInputOps.cases) {
+      val xs = c.shapes.map { case (r, k) => Tensor(r, k)((_, _) => rnd.nextGaussian()).markConstant() }
+      val tape = new GradTape
+      val loss = c.loss(xs)(tape)
+      // The loss is the op followed by two single-input ops: none of the
+      // three was given a slot on the tape.
+      assert(loss.constant && loss.tapeId == 0L, c.name)
+      intercept[IllegalArgumentException](tape.backward(loss))
+      xs.foreach(x => intercept[IllegalArgumentException](tape.grad(x)))
+      // The identity-map tape ignores the mark and records every op.
+      val ref = new ReferenceTape
+      val refLoss = c.loss(xs)(ref)
+      assert(!refLoss.constant && bits(refLoss.data) == bits(loss.data))
+      ref.backward(refLoss)
+      assert(xs.exists(x => ref.grad(x).exists(_ != 0.0)), c.name)
+    }
+  }
+
+  test("MMA's loss never asks for the frozen Node2Vec table's gradient") {
+    val m = MmaModel.init(net, MmaConfig(), node2vec)
+    assert(m.segEmb.table.constant && !m.params.exists(_.constant))
+    trainSet.take(3).map(m.prepare(_, withLabels = true)).foreach { s =>
+      // GradTape throws if anything asks for a constant's gradient.
+      val tape = new GradTape
+      tape.backward(m.loss(s)(tape))
+      intercept[IllegalArgumentException](tape.grad(m.segEmb.table))
+      assert(m.params.exists(p => tape.grad(p).exists(_ != 0.0)))
+    }
+  }
+
+  test("a parameter marked constant by mistake fails the training step") {
+    val rnd = new scala.util.Random(6)
+    val lin = Linear(3, 2, rnd)
+    val x = Tensor(4, 3)((_, _) => rnd.nextGaussian()).markConstant()
+    lin.w.markConstant()
+    val opt = new Adam(lin.params)
+    val e = intercept[IllegalArgumentException] {
+      Trainer.step(IndexedSeq(0, 1), lin.params, opt, (_: Int, tp: Tape) => Ops.sumAll(Ops.tanh(lin(x)(tp))(tp))(tp))
+    }
+    assert(e.getMessage.contains("constant"))
+  }
+
   test("a tensor recorded on one tape is a leaf on another") {
     val rnd = new scala.util.Random(5)
     def randT(r: Int, c: Int) = Tensor(r, c)((_, _) => rnd.nextGaussian())
